@@ -54,7 +54,6 @@ from repro.mitigation import (  # noqa: E402
 )
 from repro.analysis.campaign import run_campaign  # noqa: E402
 from repro.resilience import ChaosPolicy  # noqa: E402
-from repro.soc.simd import run_lane_block  # noqa: E402
 from repro.workloads.fft import build_fft_program  # noqa: E402
 
 
@@ -182,34 +181,6 @@ def bench_faults(n_accesses: int, vdd: float = 0.42):
     t_scalar = best_of(scalar, repeats=3)
     t_batch = best_of(batch, repeats=3)
 
-    # Conditional-mask kernel: reusable scratch vs per-call allocation.
-    # Faulty accesses are rare at campaign voltages (the sampler's whole
-    # point), so the kernel is timed directly at a fixed block size
-    # rather than through sample_masks; the scratch path must consume
-    # the identical RNG stream and emit identical masks.
-    cond_block = 4096
-    m_scratch = VoltageFaultModel(
-        ACCESS_CELL_BASED_40NM, width=32, vdd=vdd,
-        rng=np.random.default_rng(11), reuse_buffers=True,
-    )
-    m_alloc = VoltageFaultModel(
-        ACCESS_CELL_BASED_40NM, width=32, vdd=vdd,
-        rng=np.random.default_rng(11),
-    )
-    masks_scratch = m_scratch._draw_conditional_masks(cond_block)
-    masks_alloc = m_alloc._draw_conditional_masks(cond_block)
-    scratch_exact = bool(
-        np.array_equal(masks_scratch, masks_alloc)
-        and m_scratch.rng.bit_generator.state
-        == m_alloc.rng.bit_generator.state
-    )
-    t_cond_scratch = best_of(
-        lambda: m_scratch._draw_conditional_masks(cond_block)
-    )
-    t_cond_alloc = best_of(
-        lambda: m_alloc._draw_conditional_masks(cond_block)
-    )
-
     return {
         "n_accesses": n_accesses,
         "vdd": vdd,
@@ -218,11 +189,6 @@ def bench_faults(n_accesses: int, vdd: float = 0.42):
         "batch_s": t_batch,
         "speedup": t_scalar / t_batch,
         "batch_maccesses_per_s": n_accesses / t_batch / 1e6,
-        "cond_block": cond_block,
-        "cond_scratch_bit_exact": scratch_exact,
-        "cond_scratch_s": t_cond_scratch,
-        "cond_noscratch_s": t_cond_alloc,
-        "cond_scratch_speedup": t_cond_alloc / t_cond_scratch,
     }
 
 
@@ -510,87 +476,6 @@ def bench_profile(fft_points: int, seed: int = 7, repeats: int = 3):
     }
 
 
-def bench_simd(
-    fft_points: int,
-    lane_counts: tuple[int, ...] = (1, 16, 64, 256),
-    vdd: float = 0.44,
-    seed_base: int = 300,
-):
-    """Lane-scaling throughput of the lockstep SIMD engine.
-
-    Runs the quick FFT campaign (one SECDED run per seed at the
-    Table 2 operating point) once through the scalar engine — the
-    bit-exactness oracle *and* the baseline clock — then through
-    :func:`repro.soc.simd.run_lane_block` at each lane count.  The
-    scalar outcomes and RNG stream positions are cached per seed, so
-    every lane of every configuration is verified bit-identical to its
-    own scalar run; ``speedup_vs_scalar`` compares aggregate
-    instructions/s over the same seeds.
-    """
-    program = build_fft_program(fft_points)
-    workload = program.workload
-    n_max = max(lane_counts)
-    oracle = {}
-    scalar_instructions = 0
-    injected_bits = 0
-    start = time.perf_counter()
-    for index in range(n_max):
-        runner = SecdedRunner(
-            ACCESS_CELL_BASED_40NM, seed=seed_base + index
-        )
-        outcome = runner.run(workload, vdd, 25e6)
-        oracle[index] = (outcome, _platform_rng_states(runner))
-        scalar_instructions += outcome.sim.instructions
-        injected_bits += sum(outcome.sim.injected_bits.values())
-    t_scalar = time.perf_counter() - start
-    scalar_ips = scalar_instructions / t_scalar
-
-    configs = []
-    for lanes in lane_counts:
-        runners = [
-            SecdedRunner(
-                ACCESS_CELL_BASED_40NM, seed=seed_base + index
-            )
-            for index in range(lanes)
-        ]
-        start = time.perf_counter()
-        outcomes = run_lane_block(
-            runners, workload, vdd=vdd, frequency=25e6
-        )
-        t_block = time.perf_counter() - start
-        instructions = sum(o.sim.instructions for o in outcomes)
-        bit_exact = all(
-            outcomes[index] == oracle[index][0]
-            and _platform_rng_states(runners[index]) == oracle[index][1]
-            for index in range(lanes)
-        )
-        ips = instructions / t_block
-        configs.append(
-            {
-                "lanes": lanes,
-                "instructions": instructions,
-                "bit_exact": bool(bit_exact),
-                "lockstep_s": t_block,
-                "aggregate_ips": ips,
-                "speedup_vs_scalar": ips / scalar_ips,
-            }
-        )
-    return {
-        "fft_points": fft_points,
-        "scheme": "SECDED",
-        "vdd": vdd,
-        "seed_base": seed_base,
-        "scalar_runs": n_max,
-        "scalar_s": t_scalar,
-        "scalar_ips": scalar_ips,
-        # Non-vacuousness record: the worst-case access model at this
-        # sub-Vmin supply injects real faults, so bit_exact covers the
-        # divergence/slow-path machinery, not just the clean path.
-        "scalar_injected_bits": injected_bits,
-        "configs": configs,
-    }
-
-
 def bench_resilience(
     runs: int,
     fft_points: int,
@@ -823,12 +708,6 @@ def main() -> int:
         platform_fft = 256
         platform_target = 10.0
         resilience_runs = 8
-    # The SIMD section always runs the FFT-64 campaign: the lockstep
-    # engine's win is lane count, not program size, and the scalar
-    # oracle must execute every seed once — larger programs would
-    # multiply that (serial) oracle cost for no extra information.
-    simd_fft = 64
-    simd_lane_counts = (1, 16, 64, 256)
 
     # The harness always keeps its own registry (section timers, the
     # ground-truth miscorrection counters, the manifest snapshot).
@@ -853,8 +732,6 @@ def main() -> int:
             "fig5_accesses_per_point": fig5_n,
             "platform_fft_points": platform_fft,
             "platform_speedup_target": platform_target,
-            "simd_fft_points": simd_fft,
-            "simd_lane_counts": list(simd_lane_counts),
             "resilience_runs": resilience_runs,
             "resilience_max_retries": args.max_retries,
             "resilience_task_timeout": args.task_timeout,
@@ -890,10 +767,6 @@ def main() -> int:
         results["platform"] = bench_platform(platform_fft)
     with registry.timer("bench.profile").time():
         results["profile"] = bench_profile(platform_fft)
-    with registry.timer("bench.simd").time():
-        results["simd"] = bench_simd(
-            simd_fft, lane_counts=simd_lane_counts
-        )
     with registry.timer("bench.resilience").time():
         results["resilience"] = bench_resilience(
             resilience_runs, 64, args.max_retries, args.task_timeout,
@@ -903,17 +776,12 @@ def main() -> int:
         results["serve"] = bench_serve(resilience_runs)
 
     schemes = results["platform"]["schemes"]
-    simd_configs = results["simd"]["configs"]
-    simd_256 = next(c for c in simd_configs if c["lanes"] == 256)
     checks = {
         "secded_encode_bit_exact": results["secded"]["encode_bit_exact"],
         "secded_decode_bit_exact": results["secded"]["decode_bit_exact"],
         "bch_encode_bit_exact": results["bch"]["encode_bit_exact"],
         "bch_decode_bit_exact": results["bch"]["decode_bit_exact"],
         "fault_stats_ok": results["faults"]["stats_within_tolerance"],
-        "faults_scratch_bit_exact": (
-            results["faults"]["cond_scratch_bit_exact"]
-        ),
         "fig5_bit_exact": results["fig5_campaign"]["bit_exact"],
         "store_warm_100x": results["store"]["warm_speedup"] >= 100.0,
         "store_hit_ratio": results["store"]["hit_ratio"] == 1.0,
@@ -927,9 +795,6 @@ def main() -> int:
         # path: the scalar-dirty-loop implementation measured ~26x.
         "bch_decode_40x": results["bch"]["decode_speedup"] >= 40.0,
         "fig5_campaign_5x": results["fig5_campaign"]["speedup"] >= 5.0,
-        "simd_bit_exact": all(c["bit_exact"] for c in simd_configs),
-        "simd_256_10x": simd_256["speedup_vs_scalar"] >= 10.0,
-        "simd_faults_observed": results["simd"]["scalar_injected_bits"] > 0,
         "platform_bit_exact": all(
             s["bit_exact"] for s in schemes.values()
         ),
@@ -995,9 +860,6 @@ def main() -> int:
             "bch_encode": results["bch"]["encode_speedup"],
             "bch_decode": results["bch"]["decode_speedup"],
             "faults": results["faults"]["speedup"],
-            "faults_cond_scratch": (
-                results["faults"]["cond_scratch_speedup"]
-            ),
             "fig5_campaign": results["fig5_campaign"]["speedup"],
             "store_warm": results["store"]["warm_speedup"],
             "store_campaign_warm": (
@@ -1006,10 +868,6 @@ def main() -> int:
             "serve_warm": results["serve"]["warm_speedup"],
             "platform": {
                 name: s["speedup"] for name, s in schemes.items()
-            },
-            "simd": {
-                str(c["lanes"]): c["speedup_vs_scalar"]
-                for c in simd_configs
             },
         },
         "output": str(args.output),
@@ -1032,11 +890,6 @@ def main() -> int:
     print(
         f"{'fault engine':>16}: batch {f['speedup']:6.1f}x "
         f"({f['batch_maccesses_per_s']:.0f} Maccess/s)"
-    )
-    print(
-        f"{'cond masks':>16}: scratch "
-        f"{f['cond_scratch_speedup']:6.1f}x "
-        f"(bit_exact={f['cond_scratch_bit_exact']})"
     )
     c = results["fig5_campaign"]
     print(f"{'fig5 campaign':>16}: batch {c['speedup']:6.1f}x")
@@ -1078,13 +931,6 @@ def main() -> int:
         f"{p['fast_instructions']} fast / {p['slow_instructions']} slow "
         f"insns profiled)"
     )
-    for c in simd_configs:
-        print(
-            f"{'simd N=' + str(c['lanes']):>16}: "
-            f"{c['speedup_vs_scalar']:6.1f}x aggregate "
-            f"({c['aggregate_ips'] / 1e6:.2f} Minstr/s, "
-            f"bit_exact={c['bit_exact']})"
-        )
     print("checks:", "PASS" if results["all_checks_passed"] else "FAIL",
           {k: v for k, v in checks.items() if not v} or "")
     return 0 if results["all_checks_passed"] else 1

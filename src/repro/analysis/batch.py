@@ -100,25 +100,17 @@ class BatchCampaign:
         fan-out.  ``None`` draws a fresh master seed from the OS.
     processes:
         When > 1, per-die work fans out across a process pool.
-    lanes:
-        When > 1, scheme campaigns run their seeds in lockstep SIMD
-        blocks of this width (:mod:`repro.soc.simd`) before any
-        process fan-out; classification stays bit-identical.
     """
 
     def __init__(
         self,
         seed: int | None = None,
         processes: int | None = None,
-        lanes: int = 1,
     ) -> None:
         if seed is None:
             seed = int(np.random.SeedSequence().entropy) % (2**63)  # repro: noqa[REP101] seed=None asks for a fresh master seed; it is recorded on self.seed for replay
-        if lanes < 1:
-            raise ValueError("lanes must be positive")
         self.seed = int(seed)
         self.processes = processes
-        self.lanes = lanes
 
     def _point_rng(self, index: int) -> np.random.Generator:
         return np.random.default_rng((self.seed, index))
@@ -139,14 +131,14 @@ class BatchCampaign:
         **campaign_kwargs,
     ):
         """Monte-Carlo failure campaign under this driver's execution
-        policy (master seed, process fan-out, SIMD lane width).
+        policy (master seed, process fan-out).
 
         Thin front end to :func:`repro.analysis.campaign.run_campaign`:
-        run ``i`` uses seed ``self.seed + i``, and ``lanes`` > 1 shards
-        the seed axis into lockstep lane blocks before the ProcessPool
-        fan-out.  The result is bit-identical for any (processes,
-        lanes) combination.  ``store`` content-addresses the campaign
-        (see :func:`~repro.analysis.campaign.run_campaign`).
+        run ``i`` uses seed ``self.seed + i``.  The result is
+        bit-identical for any ``processes`` value.  ``store``
+        content-addresses the campaign by the inputs that decide its
+        result; the execution policy is never part of the key (see
+        :func:`~repro.analysis.campaign.run_campaign`).
         """
         from repro.analysis.campaign import run_campaign
 
@@ -160,7 +152,6 @@ class BatchCampaign:
             runs=runs,
             seed_base=self.seed,
             processes=self.processes,
-            lanes=self.lanes,
             store=store,
             **campaign_kwargs,
         )

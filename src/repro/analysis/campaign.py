@@ -116,47 +116,6 @@ def _campaign_run_one(args) -> tuple:
     )
 
 
-def _campaign_run_lane_block(args) -> tuple:
-    """Execute one lane block of consecutive seeds in lockstep.
-
-    The lockstep engine is bit-exact with the scalar engine per lane
-    (differentially fuzzed), so the per-seed statistics returned here
-    are identical to ``count`` :func:`_campaign_run_one` calls.  The
-    whole block runs under one scoped registry; its single snapshot is
-    the additive merge of the per-run snapshots (plus the engine's own
-    ``simd.*`` counters), so campaign-level metric totals still match
-    the scalar path.
-    """
-    from repro.soc.simd import run_lane_block
-
-    (
-        runner_cls, workload, golden, access_model,
-        vdd, frequency, first_seed, count, runner_kwargs,
-    ) = args
-    with scoped_metrics() as registry:
-        runners = [
-            runner_cls(access_model, seed=first_seed + offset, **runner_kwargs)
-            for offset in range(count)
-        ]
-        outcomes = run_lane_block(
-            runners, workload, vdd=vdd, frequency=frequency
-        )
-    return (
-        [
-            (
-                sum(outcome.sim.injected_bits.values()),
-                outcome.sim.corrected_words,
-                outcome.sim.rollbacks,
-                outcome.output_matches(golden),
-                outcome.completed,
-                outcome.failure,
-            )
-            for outcome in outcomes
-        ],
-        registry.snapshot(),
-    )
-
-
 def _encode_outcome(outcome) -> dict:
     """JSON-safe journal form of one :func:`_campaign_run_one` tuple."""
     injected, corrected, rollbacks, matches, completed, failure, snapshot = (
@@ -186,72 +145,26 @@ def _decode_outcome(data: dict) -> tuple:
     )
 
 
-def _encode_block_outcome(outcome) -> dict:
-    """JSON-safe journal form of one lane-block outcome."""
-    per_seed, snapshot = outcome
-    return {
-        "runs": [
-            {
-                "injected": int(injected),
-                "corrected": int(corrected),
-                "rollbacks": int(rollbacks),
-                "matches": bool(matches),
-                "completed": bool(completed),
-                "failure": failure,
-            }
-            for (
-                injected, corrected, rollbacks, matches, completed, failure,
-            ) in per_seed
-        ],
-        "metrics": snapshot.as_dict(),
-    }
-
-
-def _decode_block_outcome(data: dict) -> tuple:
-    """Inverse of :func:`_encode_block_outcome` (exact round-trip)."""
-    return (
-        [
-            (
-                int(run["injected"]),
-                int(run["corrected"]),
-                int(run["rollbacks"]),
-                bool(run["matches"]),
-                bool(run["completed"]),
-                run["failure"],
-            )
-            for run in data["runs"]
-        ],
-        MetricsSnapshot.from_dict(data["metrics"]),
-    )
-
-
 def _campaign_fingerprint(
     scheme: str,
     vdd: float,
     frequency: float,
     runner_kwargs: dict,
-    lanes: int = 1,
 ) -> str:
     """Journal identity of a campaign's per-seed task results.
 
     Includes exactly the parameters that determine one seeded run's
     outcome.  Deliberately excludes ``runs`` and ``seed_base``: each
     task is keyed by its own seed, so an extended campaign (more runs,
-    same everything else) can legally reuse an earlier journal.  Lane
-    mode appends the block width — block tasks carry one result per
-    member seed, so journals of different widths are not interchangeable
-    (and the scalar fingerprint stays byte-identical to v1).
+    same everything else) can legally reuse an earlier journal.
     """
     kwargs = ",".join(
         f"{key}={runner_kwargs[key]!r}" for key in sorted(runner_kwargs)
     )
-    fingerprint = (
+    return (
         f"campaign:v1:scheme={scheme}:vdd={vdd!r}:"
         f"frequency={frequency!r}:kwargs={kwargs}"
     )
-    if lanes > 1:
-        fingerprint += f":lanes={lanes}"
-    return fingerprint
 
 
 def run_campaign(
@@ -268,7 +181,6 @@ def run_campaign(
     task_timeout: float | None = None,
     journal: str | None = None,
     chaos: ChaosPolicy | None = None,
-    lanes: int = 1,
     progress=None,
     heartbeat: str | None = None,
     store=None,
@@ -278,16 +190,6 @@ def run_campaign(
 
     With ``processes`` > 1 the runs fan out across a process pool; per
     run seeding keeps the classification identical to the serial path.
-
-    With ``lanes`` > 1 the seed axis is sharded into consecutive blocks
-    of that width *before* the fan-out, and each block executes on the
-    lockstep SIMD engine (:func:`repro.soc.simd.run_lane_block`) — one
-    task per block instead of one per seed.  The lockstep engine is
-    bit-exact with the scalar engine, so the classification, the
-    per-run ``campaign.outcome`` trace records and the merged metrics
-    (modulo the engine's own ``simd.*`` counters) are identical to
-    ``lanes=1``; only the task granularity changes (a quarantined block
-    retires all of its member runs).
 
     Execution is resilient (:class:`~repro.resilience.ResilientExecutor`):
     worker death, per-task deadline overruns (``task_timeout`` seconds)
@@ -320,8 +222,6 @@ def run_campaign(
     vdd = validate_vdd(vdd, "run_campaign")
     if runs <= 0:
         raise ValueError("runs must be positive")
-    if lanes < 1:
-        raise ValueError("lanes must be positive")
     if store is not None:
         from repro.store.pipeline import (
             campaign_point_key,
@@ -333,7 +233,7 @@ def run_campaign(
         key = campaign_point_key(
             runner_cls, workload, golden, access_model,
             vdd=vdd, frequency=frequency, runs=runs, seed_base=seed_base,
-            lanes=lanes, runner_kwargs=runner_kwargs,
+            runner_kwargs=runner_kwargs,
         )
         fingerprint = key.fingerprint()
         while True:
@@ -353,7 +253,7 @@ def run_campaign(
                 frequency=frequency, runs=runs, seed_base=seed_base,
                 processes=processes, max_retries=max_retries,
                 task_timeout=task_timeout, journal=journal, chaos=chaos,
-                lanes=lanes, progress=progress, heartbeat=heartbeat,
+                progress=progress, heartbeat=heartbeat,
                 store=None, **runner_kwargs,
             )
             if result.quarantined == 0:
@@ -364,56 +264,27 @@ def run_campaign(
         finally:
             store.end_compute(fingerprint)
         return result
-    if lanes > 1:
-        blocks = []
-        start = 0
-        while start < runs:
-            count = min(lanes, runs - start)
-            blocks.append((seed_base + start, count))
-            start += count
-        tasks = [
-            TaskSpec(
-                key=f"lanes-{first_seed}-{count}",
-                args=(
-                    (
-                        runner_cls, workload, golden, access_model,
-                        vdd, frequency, first_seed, count, runner_kwargs,
-                    ),
+    tasks = [
+        TaskSpec(
+            key=f"run-{seed_base + index}",
+            args=(
+                (
+                    runner_cls, workload, golden, access_model,
+                    vdd, frequency, seed_base + index, runner_kwargs,
                 ),
-            )
-            for first_seed, count in blocks
-        ]
-        executor = ResilientExecutor(
-            _campaign_run_lane_block,
-            processes=processes,
-            max_retries=max_retries,
-            task_timeout=task_timeout,
-            chaos=chaos,
-            encode=_encode_block_outcome,
-            decode=_decode_block_outcome,
+            ),
         )
-    else:
-        tasks = [
-            TaskSpec(
-                key=f"run-{seed_base + index}",
-                args=(
-                    (
-                        runner_cls, workload, golden, access_model,
-                        vdd, frequency, seed_base + index, runner_kwargs,
-                    ),
-                ),
-            )
-            for index in range(runs)
-        ]
-        executor = ResilientExecutor(
-            _campaign_run_one,
-            processes=processes,
-            max_retries=max_retries,
-            task_timeout=task_timeout,
-            chaos=chaos,
-            encode=_encode_outcome,
-            decode=_decode_outcome,
-        )
+        for index in range(runs)
+    ]
+    executor = ResilientExecutor(
+        _campaign_run_one,
+        processes=processes,
+        max_retries=max_retries,
+        task_timeout=task_timeout,
+        chaos=chaos,
+        encode=_encode_outcome,
+        decode=_decode_outcome,
+    )
     owns_progress = False
     if progress is None and heartbeat is not None:
         from repro.obs.report import CampaignProgress
@@ -429,7 +300,6 @@ def run_campaign(
         runs=runs,
         processes=processes or 1,
         seed_base=seed_base,
-        lanes=lanes,
     ):
         try:
             report = executor.run(
@@ -437,7 +307,6 @@ def run_campaign(
                 run_id=f"campaign-{runner_cls.name}-vdd{vdd:.3f}",
                 fingerprint=_campaign_fingerprint(
                     runner_cls.name, vdd, frequency, runner_kwargs,
-                    lanes=lanes,
                 ),
                 journal=journal,
                 progress=progress,
@@ -449,41 +318,17 @@ def run_campaign(
                 progress.close()
         result = CampaignResult(scheme=runner_cls.name, vdd=vdd)
         result.resilience = report
-        # Per-run outcome stream, in global seed order.  Scalar tasks
-        # carry one run and its snapshot; block tasks carry one run per
-        # member seed plus a single block-level snapshot (merged once,
-        # attached to the block's first run below).
-        stream: list = []
-        quarantined_runs = 0
-        global_index = 0
-        for task in tasks:
+        # Per-run outcomes, in seed order; a quarantined run has no
+        # result and is counted only in ``quarantined``.
+        for index, task in enumerate(tasks):
             outcome = report.results.get(task.key)
-            if task.key.startswith("lanes-"):
-                count = int(task.key.rsplit("-", 1)[1])
-                if outcome is None:
-                    quarantined_runs += count
-                else:
-                    per_seed, snapshot = outcome
-                    for offset, run_stats in enumerate(per_seed):
-                        stream.append(
-                            (
-                                global_index + offset,
-                                run_stats,
-                                snapshot if offset == 0 else None,
-                            )
-                        )
-                global_index += count
-            else:
-                if outcome is None:
-                    quarantined_runs += 1
-                else:
-                    stream.append((global_index, outcome[:6], outcome[6]))
-                global_index += 1
-        result.quarantined = quarantined_runs
-        for index, run_stats, snapshot in stream:
+            if outcome is None:
+                result.quarantined += 1
+                continue
             (
                 injected, corrected, rollbacks, matches, completed, failure,
-            ) = run_stats
+                snapshot,
+            ) = outcome
             result.runs += 1
             result.total_injected_bits += injected
             result.total_corrected += corrected
@@ -501,8 +346,7 @@ def run_campaign(
                 result.failures_by_kind[kind] = (
                     result.failures_by_kind.get(kind, 0) + 1
                 )
-            if snapshot is not None:
-                metrics.merge(snapshot)
+            metrics.merge(snapshot)
             tracer.point(
                 names.POINT_CAMPAIGN_OUTCOME,
                 scheme=result.scheme,

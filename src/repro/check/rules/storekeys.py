@@ -1,8 +1,8 @@
 """REP103/REP104 — result-store keys derive from provenance, nothing else.
 
-The content-addressed result store (PR 8) promises that a campaign
-point's fingerprint is a pure function of its *provenance* — codec,
-fault model, voltage, seeds, lane count.  Warm hits are then exactly
+The content-addressed result store promises that a campaign point's
+fingerprint is a pure function of its *provenance* — codec, fault
+model, voltage, seeds, workload.  Warm hits are then exactly
 the runs a cold machine would execute, on any host, in any process, at
 any time.  The promise dies the moment key-path code consults a wall
 clock, the OS entropy pool, or host/process identity: the same

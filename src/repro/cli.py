@@ -21,7 +21,7 @@ Observability flags (any exhibit):
   the output (under a ``metrics`` key in JSON mode).
 * ``--profile`` — enable the deterministic engine profiler
   (:mod:`repro.obs.profile`) and append its rendered report (opcode
-  mix, fast/slow-path residency, SIMD lane histograms) to the output
+  mix, fast/slow-path residency) to the output
   (under a ``profile`` key in JSON mode).  Bit-exactness-neutral: the
   exhibit's numbers are identical with or without it.
 
@@ -234,7 +234,6 @@ def _campaign_result(args):
             max_retries=args.max_retries,
             task_timeout=args.task_timeout,
             journal=args.resume,
-            lanes=args.lanes,
             progress=progress,
             store=store,
             macro_style="cell-based",
@@ -393,8 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile",
         action="store_true",
         help="enable the deterministic engine profiler and append its "
-        "report (opcode mix, fast/slow-path residency, SIMD lane "
-        "histograms); bit-exactness-neutral",
+        "report (opcode mix, fast/slow-path residency); "
+        "bit-exactness-neutral",
     )
     parser.add_argument(
         "--store",
@@ -441,14 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="fan runs out over N worker processes (default serial)",
-    )
-    campaign.add_argument(
-        "--lanes",
-        type=int,
-        default=1,
-        metavar="N",
-        help="run seeds in lockstep SIMD blocks of N lanes (default 1 "
-        "= scalar engine); bit-identical classification either way",
     )
     campaign.add_argument(
         "--resume",

@@ -199,9 +199,7 @@ class BchCodec(Codec):
         words = self._as_word_array(words, self.data_bits, "data")
         return self._lut_gather(self._enc_byte_luts, words)
 
-    def decode_batch(
-        self, codewords: np.ndarray, record: bool = True
-    ) -> BatchDecodeResult:
+    def decode_batch(self, codewords: np.ndarray) -> BatchDecodeResult:
         """Vectorized clean screen + batched decode of the dirty words.
 
         At moderate supply voltages almost every stored word is error
@@ -216,10 +214,10 @@ class BchCodec(Codec):
         decision sequence replicates :meth:`decode` exactly.
         """
         if self._rem_byte_luts is None:
-            return super().decode_batch(codewords, record=record)
+            return super().decode_batch(codewords)
         codewords = self._as_word_array(codewords, self.code_bits, "codeword")
         if self._syn_byte_luts is None:
-            return self._decode_batch_scalar_dirty(codewords, record)
+            return self._decode_batch_scalar_dirty(codewords)
         u64 = np.uint64
         packed = self._lut_gather(self._syn_byte_luts, codewords)
         data = codewords >> u64(self.n_check)
@@ -230,14 +228,13 @@ class BchCodec(Codec):
             self._decode_dirty(
                 codewords, packed, dirty, data, status, corrected
             )
-        if record:
-            self.record_decode_outcomes(status)
+        self.record_decode_outcomes(status)
         return BatchDecodeResult(
             data=data, status=status, corrected_bits=corrected
         )
 
     def _decode_batch_scalar_dirty(
-        self, codewords: np.ndarray, record: bool
+        self, codewords: np.ndarray
     ) -> BatchDecodeResult:
         """Remainder screen + scalar dirty decode (syndromes too wide
         to pack into a uint64 lane)."""
@@ -252,8 +249,7 @@ class BchCodec(Codec):
             data[i] = result.data
             status[i] = status_code(result.status)
             corrected[i] = result.corrected_bits
-        if record:
-            self.record_decode_outcomes(status)
+        self.record_decode_outcomes(status)
         return BatchDecodeResult(
             data=data, status=status, corrected_bits=corrected
         )

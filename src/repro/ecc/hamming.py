@@ -59,8 +59,8 @@ class SecdedCodec(Codec):
 
     #: Class-level memo of the derived tables.  They are pure functions
     #: of the class constants, so every instance shares one (read-only)
-    #: set — campaigns and lane blocks construct hundreds of codecs and
-    #: the table build dominated their setup cost before this memo.
+    #: set — campaigns construct hundreds of codecs and the table
+    #: build dominated their setup cost before this memo.
     _table_cache: dict[type, dict[str, np.ndarray]] = {}
 
     def __init__(self) -> None:
@@ -238,31 +238,16 @@ class SecdedCodec(Codec):
         words = self._as_word_array(words, self.data_bits, "data")
         return self._lut_gather(self._enc_byte_luts, words)
 
-    def decode_batch(
-        self, codewords: np.ndarray, record: bool = True
-    ) -> BatchDecodeResult:
+    def decode_batch(self, codewords: np.ndarray) -> BatchDecodeResult:
         """Vectorized decode via byte-sliced parity checks + syndrome LUT."""
         codewords = self._as_word_array(codewords, self.code_bits, "codeword")
-        index8 = self._lut_gather(self._index_byte_luts, codewords)
-        scratch = self._scratch
-        if scratch is None:
-            index = index8.astype(np.intp)
-            corrected_words = codewords ^ self._flip_lut[index]
-        else:
-            # Reused intp index + corrected-word buffers; the result
-            # arrays below (data/status/corrected_bits) are all fresh
-            # fancy-indexing outputs, so nothing scratch-backed escapes.
-            index = scratch.array("dec_index", codewords.shape, np.intp)
-            np.copyto(index, index8, casting="unsafe")
-            corrected_words = scratch.array(
-                "dec_words", codewords.shape, _U64
-            )
-            np.take(self._flip_lut, index, out=corrected_words)
-            np.bitwise_xor(corrected_words, codewords, out=corrected_words)
+        index = self._lut_gather(self._index_byte_luts, codewords).astype(
+            np.intp
+        )
+        corrected_words = codewords ^ self._flip_lut[index]
         data = self._extract_batch(corrected_words)
         status = self._status_lut[index]
-        if record:
-            self.record_decode_outcomes(status)
+        self.record_decode_outcomes(status)
         return BatchDecodeResult(
             data=data,
             status=status,

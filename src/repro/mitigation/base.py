@@ -129,42 +129,6 @@ class SchemeRunner(abc.ABC):
         except SystemFailure as exc:
             return False, exc.kind, 0, 0
 
-    def execute_lanes(
-        self, platforms, workload: StreamingWorkload, block
-    ) -> list[tuple[bool, str | None, int, int]]:
-        """Lockstep counterpart of :meth:`execute` over a lane block.
-
-        Runs every platform breadth-first — all pending lanes are
-        demanded before any is run, so the whole block advances through
-        :class:`repro.soc.simd.LaneBlock` servicing together — and
-        mirrors the default :meth:`execute` control flow per lane.
-        Returns one ``(completed, failure, rollbacks, overhead)`` tuple
-        per lane, bit-identical to N scalar :meth:`execute` calls.
-        """
-        from repro.soc.platform import DetectedError, SystemFailure
-
-        results: list = [None] * len(platforms)
-        pending = set(range(len(platforms)))
-        while pending:
-            block.demand(pending)
-            for lane in sorted(pending):
-                try:
-                    reason = platforms[lane].run_until_stop()
-                except DetectedError as exc:
-                    results[lane] = (
-                        False, f"uncorrectable:{exc.module}", 0, 0
-                    )
-                except SystemFailure as exc:
-                    results[lane] = (False, exc.kind, 0, 0)
-                else:
-                    if reason is StopReason.HALT:
-                        results[lane] = (True, None, 0, 0)
-                    # YIELD: the lane stays pending for the next round.
-            pending = {
-                lane for lane in pending if results[lane] is None
-            }
-        return results
-
     # ------------------------------------------------------------------
     # Shared driver
     # ------------------------------------------------------------------
@@ -182,24 +146,7 @@ class SchemeRunner(abc.ABC):
         completed, failure, rollbacks, overhead = self.execute(
             platform, workload
         )
-        return self.collect_outcome(
-            workload, vdd, frequency, platform,
-            completed, failure, rollbacks, overhead,
-        )
-
-    def collect_outcome(
-        self,
-        workload: StreamingWorkload,
-        vdd: float,
-        frequency: float,
-        platform: Platform,
-        completed: bool,
-        failure: str | None,
-        rollbacks: int,
-        overhead: int,
-    ) -> RunOutcome:
-        """Assemble the :class:`RunOutcome` of one executed platform."""
-        vdd = validate_vdd(vdd, f"{self.name}.collect_outcome")
+        vdd = validate_vdd(vdd, f"{self.name}.run")
         sim = platform.result(
             rollbacks=rollbacks, overhead_cycles=overhead
         )

@@ -45,16 +45,14 @@ class DectedRunner(SchemeRunner):
 
     def build_platform(self, vdd: float) -> Platform:
         vdd = validate_vdd(vdd, "DECTED.build_platform")
-        # Scratch reuse is on for campaign-built platforms (bit-exact).
-        codec = BchCodec(data_bits=32, t=2).enable_scratch()
+        codec = BchCodec(data_bits=32, t=2)
         assert codec.code_bits == SCHEME_DECTED.word_bits
         im = FaultyMemory(
             "IM",
             self.config.im_words,
             width=codec.code_bits,
             faults=VoltageFaultModel(
-                self.access_model, codec.code_bits, vdd, rng=self._rng(1),
-                reuse_buffers=True,
+                self.access_model, codec.code_bits, vdd, rng=self._rng(1)
             ),
         )
         sp = FaultyMemory(
@@ -62,8 +60,7 @@ class DectedRunner(SchemeRunner):
             self.config.sp_words,
             width=codec.code_bits,
             faults=VoltageFaultModel(
-                self.access_model, codec.code_bits, vdd, rng=self._rng(2),
-                reuse_buffers=True,
+                self.access_model, codec.code_bits, vdd, rng=self._rng(2)
             ),
         )
         return Platform(

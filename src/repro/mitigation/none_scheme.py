@@ -37,8 +37,7 @@ class NoMitigationRunner(SchemeRunner):
             self.config.im_words,
             width=32,
             faults=VoltageFaultModel(
-                self.access_model, 32, vdd, rng=self._rng(1),
-                reuse_buffers=True,
+                self.access_model, 32, vdd, rng=self._rng(1)
             ),
         )
         sp = FaultyMemory(
@@ -46,8 +45,7 @@ class NoMitigationRunner(SchemeRunner):
             self.config.sp_words,
             width=32,
             faults=VoltageFaultModel(
-                self.access_model, 32, vdd, rng=self._rng(2),
-                reuse_buffers=True,
+                self.access_model, 32, vdd, rng=self._rng(2)
             ),
         )
         return Platform(

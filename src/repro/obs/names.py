@@ -30,8 +30,8 @@ MEMDEV_BER_ERRORS = "memdev.ber_errors"
 
 PROFILE_FETCHES = "profile.fetches"
 
-# Engine profiler (repro.obs.profile) — fast-path here means burst or
-# vector-committed execution; slow-path is the faithful reference
+# Engine profiler (repro.obs.profile) — fast-path here means
+# burst-committed execution; slow-path is the faithful reference
 # interpreter (``Cpu.step``/``Cpu.run``), which is also what the scalar
 # engine runs 100% of the time.
 PROFILE_FAST_INSTRUCTIONS = "profile.fast_path.instructions"
@@ -44,7 +44,6 @@ PROFILE_SETTLED_READS = "profile.settlement.reads"
 PROFILE_SETTLED_WRITES = "profile.settlement.writes"
 PROFILE_WRITEBACK_WORDS = "profile.writeback.words"
 PROFILE_WRITEBACK_BATCHES = "profile.writeback.batches"
-PROFILE_SIMD_ROUNDS = "profile.simd.rounds"
 
 PLATFORM_RUNS = "platform.runs"
 PLATFORM_CYCLES = "platform.cycles"
@@ -76,12 +75,6 @@ BATCH_DIES = "batch.dies"
 BATCH_GRID_POINTS = "batch.grid_points"
 BATCH_GRID_ACCESSES = "batch.grid_accesses"
 BATCH_GRID_ERRORS = "batch.grid_errors"
-
-SIMD_BLOCKS = "simd.blocks"
-SIMD_LANES = "simd.lanes"
-SIMD_SERVICES = "simd.services"
-SIMD_VECTOR_INSTRUCTIONS = "simd.vector_instructions"
-SIMD_SLOW_STEPS = "simd.slow_steps"
 
 CAMPAIGN_RUNS = "campaign.runs"
 CAMPAIGN_CORRECT = "campaign.correct"
@@ -126,10 +119,6 @@ PROFILE_OPCODE = "profile.opcode"
 PROFILE_PC = "profile.pc"
 PROFILE_ENGINE = "profile.engine"
 PROFILE_BURST_LENGTH = "profile.fastlane.burst_length"
-PROFILE_LANE_OCCUPANCY = "profile.simd.lane_occupancy"
-PROFILE_MASK_DENSITY = "profile.simd.mask_density"
-PROFILE_DIVERGENCE = "profile.simd.divergence"
-PROFILE_RECONVERGENCE_DEPTH = "profile.simd.reconvergence_depth"
 PLATFORM_FAILURES = "platform.failures"
 
 # ----------------------------------------------------------------------

@@ -47,9 +47,6 @@ _SCALAR_FIELDS = (
     ("bch", "decode_batch_s"),
     ("faults", "speedup"),
     ("faults", "batch_s"),
-    ("faults", "cond_scratch_s"),
-    ("faults", "cond_noscratch_s"),
-    ("faults", "cond_scratch_speedup"),
     ("fig5_campaign", "speedup"),
     ("fig5_campaign", "batch_s"),
     ("store", "cold_s"),
@@ -99,23 +96,6 @@ def flatten_report(report: Dict[str, Any]) -> Dict[str, float]:
                         sections,
                         f"platform.{name}.fast_lane_s",
                         scheme.get("fast_lane_s"),
-                    )
-    simd = report.get("simd")
-    if isinstance(simd, dict):
-        configs = simd.get("configs")
-        if isinstance(configs, list):
-            for config in configs:
-                if isinstance(config, dict):
-                    lanes = config.get("lanes")
-                    _put(
-                        sections,
-                        f"simd.N{lanes}.speedup_vs_scalar",
-                        config.get("speedup_vs_scalar"),
-                    )
-                    _put(
-                        sections,
-                        f"simd.N{lanes}.lockstep_s",
-                        config.get("lockstep_s"),
                     )
     return sections
 

@@ -1,14 +1,14 @@
 """Deterministic, sampling-free engine profiler.
 
-All three execution engines — the scalar interpreter (``Cpu.run``), the
-clean-burst :class:`~repro.soc.fastlane.FastLaneEngine` and the
-lockstep :class:`~repro.soc.simd.LaneBlock` — carry instrumentation
-that routes through the module-level *active profiler*, mirroring the
-``active_metrics()`` / ``active_tracer()`` pattern:
+Both execution engines — the scalar interpreter (``Cpu.run``) and the
+clean-burst :class:`~repro.soc.fastlane.FastLaneEngine` — carry
+instrumentation that routes through the module-level *active
+profiler*, mirroring the ``active_metrics()`` / ``active_tracer()``
+pattern:
 
 * **Disabled is free.**  The default active profiler is
   :data:`NULL_PROFILER`; engine hot loops check ``profiler.enabled``
-  *once per run/service* and take their unmodified fast path when it is
+  *once per run* and take their unmodified fast path when it is
   false, so profiling that is off costs an attribute read, never a
   per-instruction branch.
 * **Enabled is bit-exactness-neutral.**  Recording methods only read
@@ -20,8 +20,8 @@ that routes through the module-level *active profiler*, mirroring the
   prove outcomes, fault statistics and RNG positions stay
   bit-identical.
 * **Sampling-free.**  Every committed instruction is tallied (in plain
-  engine locals, published once per burst/service), so opcode mixes and
-  lane histograms are exact, not estimates.
+  engine locals, published once per burst), so opcode mixes and
+  residency figures are exact, not estimates.
 
 Because the numbers land in the ordinary metrics registry, profiler
 output inherits everything metrics already do: picklable snapshots,
@@ -30,11 +30,11 @@ through the resilience journal.
 
 What the instruments mean:
 
-* ``profile.fast_path.*`` — instructions/cycles committed by a burst
-  (fast lane) or vector commit (SIMD).
+* ``profile.fast_path.*`` — instructions/cycles committed by a
+  fast-lane burst.
 * ``profile.slow_path.*`` — instructions/cycles executed by the
-  faithful reference interpreter: fast-lane/SIMD slow steps, and the
-  whole run when the scalar engine is selected.
+  faithful reference interpreter: fast-lane slow steps, and the whole
+  run when the scalar engine is selected.
 * ``profile.opcode`` — exact opcode mix of scalar-engine runs plus all
   fast-path committed instructions (slow-step opcodes are not decoded
   twice, so the rare replayed instruction is counted in residency but
@@ -42,10 +42,6 @@ What the instruments mean:
 * ``profile.fastlane.*`` / ``profile.writeback.*`` /
   ``profile.settlement.*`` — burst-length histogram, encoded
   write-back and fault-settlement costs.
-* ``profile.simd.*`` — per-service-round lane telemetry: occupancy of
-  the min-PC group, mask density (occupancy / active lanes, decile
-  buckets), divergence (distinct PCs) and reconvergence depth
-  (``max(pc) - min(pc)``, power-of-two buckets).
 """
 
 from __future__ import annotations
@@ -59,7 +55,6 @@ from repro.obs.metrics import active_metrics
 #: Engine-kind labels for the ``profile.engine`` histogram.
 ENGINE_SCALAR = "scalar"
 ENGINE_FAST_LANE = "fastlane"
-ENGINE_SIMD = "simd"
 
 
 def pow2_bucket(n: int) -> str:
@@ -67,7 +62,7 @@ def pow2_bucket(n: int) -> str:
 
     ``0`` and ``1`` get their own buckets; larger values land in
     ``"2-3"``, ``"4-7"``, ``"8-15"``, ... so histograms over widely
-    varying counts (burst lengths, reconvergence depths) stay readable.
+    varying counts (burst lengths) stay readable.
     """
     if n <= 1:
         return "0" if n <= 0 else "1"
@@ -76,7 +71,7 @@ def pow2_bucket(n: int) -> str:
 
 
 def ratio_bucket(part: int, whole: int) -> str:
-    """Decile bucket label for ``part / whole`` (mask density)."""
+    """Decile bucket label for ``part / whole``."""
     if whole <= 0:
         return "0-10%"
     decile = min(9, (10 * part) // whole)
@@ -87,7 +82,7 @@ class EngineProfiler:
     """Records engine-level cost breakdowns into the active metrics.
 
     All methods are *rare-path*: engines call them once per run, burst,
-    settlement or service — never per instruction — with tallies they
+    or settlement — never per instruction — with tallies they
     accumulated in plain locals.
     """
 
@@ -139,45 +134,11 @@ class EngineProfiler:
             metrics.counter(names.PROFILE_SETTLED_WRITES).inc(writes)
 
     def record_writeback(self, words: int, batched: bool) -> None:
-        """One encoded write-back of dirty burst/vector stores."""
+        """One encoded write-back of dirty burst stores."""
         metrics = active_metrics()
         metrics.counter(names.PROFILE_WRITEBACK_WORDS).inc(words)
         if batched:
             metrics.counter(names.PROFILE_WRITEBACK_BATCHES).inc()
-
-    def record_simd_service(
-        self,
-        rounds: int,
-        vector_instructions: int,
-        occupancy: Mapping[str, int],
-        density: Mapping[str, int],
-        divergence: Mapping[str, int],
-        depth: Mapping[str, int],
-        vector_cycles: int = 0,
-    ) -> None:
-        """One SIMD service's accumulated per-round lane telemetry.
-
-        ``vector_cycles`` counts the base cycles of vector-committed
-        instructions; taken-branch bubble cycles land in the lanes'
-        architectural counters but not here.
-        """
-        metrics = active_metrics()
-        metrics.counter(names.PROFILE_SIMD_ROUNDS).inc(rounds)
-        if vector_instructions:
-            metrics.counter(names.PROFILE_FAST_INSTRUCTIONS).inc(
-                vector_instructions
-            )
-        if vector_cycles:
-            metrics.counter(names.PROFILE_FAST_CYCLES).inc(vector_cycles)
-        for table_name, table in (
-            (names.PROFILE_LANE_OCCUPANCY, occupancy),
-            (names.PROFILE_MASK_DENSITY, density),
-            (names.PROFILE_DIVERGENCE, divergence),
-            (names.PROFILE_RECONVERGENCE_DEPTH, depth),
-        ):
-            histogram = metrics.histogram(table_name)
-            for bucket, count in table.items():
-                histogram.add(bucket, count)
 
 
 class NullEngineProfiler:
@@ -201,18 +162,6 @@ class NullEngineProfiler:
         pass
 
     def record_writeback(self, words: int, batched: bool) -> None:
-        pass
-
-    def record_simd_service(
-        self,
-        rounds: int,
-        vector_instructions: int,
-        occupancy: Mapping[str, int],
-        density: Mapping[str, int],
-        divergence: Mapping[str, int],
-        depth: Mapping[str, int],
-        vector_cycles: int = 0,
-    ) -> None:
         pass
 
 
@@ -266,7 +215,6 @@ def scoped_profiling(
 __all__ = [
     "ENGINE_FAST_LANE",
     "ENGINE_SCALAR",
-    "ENGINE_SIMD",
     "EngineProfiler",
     "NULL_PROFILER",
     "NullEngineProfiler",

@@ -190,7 +190,6 @@ def build_submit_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--runs", type=int, default=20)
     parser.add_argument("--seed", type=int, default=100)
-    parser.add_argument("--lanes", type=int, default=1)
     parser.add_argument("--fft", type=int, default=64)
     parser.add_argument(
         "--no-wait",
@@ -220,7 +219,6 @@ def submit_main(argv: Optional[List[str]] = None) -> int:
         "scheme": args.scheme,
         "runs": args.runs,
         "seed": args.seed,
-        "lanes": args.lanes,
         "fft": args.fft,
     }
     if args.vdds is not None:

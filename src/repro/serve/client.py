@@ -280,7 +280,7 @@ class ServeClient:
             f"/curve?scheme={normalized['scheme']}"
             f"&vdds={','.join(repr(v) for v in normalized['vdds'])}"
             f"&runs={normalized['runs']}&seed={normalized['seed']}"
-            f"&lanes={normalized['lanes']}&fft={normalized['fft']}"
+            f"&fft={normalized['fft']}"
         )
         return self._request(query)
 

@@ -96,8 +96,7 @@ _MAX_HEADERS = 100
 #: Execution knobs (processes) are deliberately not here — same rule
 #: as the store keys (REP103): provenance only.
 _PROVENANCE_FIELDS = (
-    "scheme", "vdds", "runs", "seed", "lanes", "fft", "frequency",
-    "macro_style",
+    "scheme", "vdds", "runs", "seed", "fft", "frequency", "macro_style",
 )
 
 
@@ -141,7 +140,6 @@ def normalize_spec(spec: Dict[str, Any]) -> Dict[str, Any]:
         "vdds": vdds,
         "runs": int(spec.get("runs", 20)),
         "seed": int(spec.get("seed", 100)),
-        "lanes": int(spec.get("lanes", 1)),
         "fft": int(spec.get("fft", 64)),
         "frequency": float(spec.get("frequency", 290e3)),
         "macro_style": str(spec.get("macro_style", "cell-based")),
@@ -151,8 +149,6 @@ def normalize_spec(spec: Dict[str, Any]) -> Dict[str, Any]:
     }
     if normalized["runs"] <= 0:
         raise ValueError("runs must be positive")
-    if normalized["lanes"] < 1:
-        raise ValueError("lanes must be positive")
     return normalized
 
 
@@ -754,7 +750,7 @@ class CampaignJobServer:
             ]
         elif "vdd" in query:
             spec["vdd"] = float(query["vdd"][0])
-        for name in ("runs", "seed", "lanes", "fft"):
+        for name in ("runs", "seed", "fft"):
             if name in query:
                 spec[name] = int(query[name][0])
         spec = normalize_spec(spec)
@@ -823,7 +819,7 @@ class CampaignJobServer:
             key = campaign_point_key(
                 runner_cls, workload, golden, access_model,
                 vdd=vdd, frequency=spec["frequency"], runs=spec["runs"],
-                seed_base=spec["seed"], lanes=spec["lanes"],
+                seed_base=spec["seed"],
                 runner_kwargs={"macro_style": spec["macro_style"]},
             )
             payload = self.store.get(key)
@@ -903,7 +899,6 @@ class CampaignJobServer:
                     frequency=spec["frequency"],
                     runs=spec["runs"],
                     seed_base=spec["seed"],
-                    lanes=spec["lanes"],
                     processes=spec["processes"],
                     macro_style=spec["macro_style"],
                     on_point=on_point,

@@ -21,7 +21,6 @@ from repro.obs import active_metrics, active_tracer, names
 from repro.obs.profile import (
     ENGINE_FAST_LANE,
     ENGINE_SCALAR,
-    ENGINE_SIMD,
     active_profiler,
 )
 from repro.soc.cpu import Cpu, CpuState, ExecutionLimitExceeded, StopReason
@@ -117,7 +116,6 @@ class Platform:
         self.pm_port = pm_port
         self.fast_lane = fast_lane
         self._fast_engine = None
-        self._engine_run = None
         self.cpu = Cpu(
             fetch=self._fetch, load=self._load, store=self._store
         )
@@ -201,11 +199,8 @@ class Platform:
         The fast-lane engine is built lazily and kept across runs (its
         predecoded views survive YIELD boundaries); it is rebuilt if
         the port wiring changed, and skipped entirely when the ports
-        are not fast-lane capable.  An externally bound engine (the
-        lockstep SIMD lane block) takes precedence over both.
+        are not fast-lane capable.
         """
-        if self._engine_run is not None:
-            return self._engine_run
         if not self.fast_lane:
             return self.cpu.run
         engine = self._fast_engine
@@ -220,23 +215,10 @@ class Platform:
 
     def _engine_kind(self, runner) -> str:
         """Profiler label for the entry point :meth:`_runner` picked."""
-        if self._engine_run is not None and runner is self._engine_run:
-            return ENGINE_SIMD
         engine = self._fast_engine
         if engine is not None and runner == engine.run:
             return ENGINE_FAST_LANE
         return ENGINE_SCALAR
-
-    def bind_engine(self, run) -> None:
-        """Route execution through an external engine.
-
-        ``run`` has the :meth:`Cpu.run` signature
-        (``max_instructions -> StopReason``).  The SIMD lane block
-        binds each member platform here so ``run_until_stop`` — and
-        with it every controller built on top — transparently executes
-        through the lockstep interpreter.  Pass ``None`` to unbind.
-        """
-        self._engine_run = run
 
     @staticmethod
     def _record_failure(kind: str) -> None:

@@ -5,25 +5,23 @@ Monte-Carlo work: one (scheme, voltage) platform campaign, one Fig. 5
 voltage grid point, one Fig. 4 die.  Its key is the SHA-256 of the
 canonical JSON of its **provenance** — exactly the fields that
 determine the result bit-for-bit (codec/scheme, fault model, vdd, seed
-range, lanes, workload) and nothing else.
+range, workload) and nothing else.
 
 Execution knobs are deliberately excluded: ``processes``, retry
-budgets, task timeouts, journals, chaos policies and the PR 7
+budgets, task timeouts, journals, chaos policies and the
 profiling/progress options change *how* a point is computed, never
 *what* it computes — the engines are proven bit-exact across all of
 them — so including any of it would fragment the cache without adding
-information.  Equally excluded is anything environmental: wall-clock,
-PID, hostname, OS entropy.  Rule ``REP103`` (``repro check``) fails
-the build if key construction in this package ever touches such a
-source, because one impure field silently turns every lookup into a
-miss.
+information.  Task granularity cannot decide a stored result either:
+campaigns with quarantined runs are never stored.  Equally excluded is
+anything environmental: wall-clock, PID, hostname, OS entropy.  Rule
+``REP103`` (``repro check``) fails the build if key construction in
+this package ever touches such a source, because one impure field
+silently turns every lookup into a miss.
 
-Lane width *is* part of the scheme-campaign key even though lockstep
-execution is bit-exact: the seed axis is sharded into lane blocks
-before fan-out, so ``lanes`` changes task granularity (a quarantined
-block retires ``lanes`` runs, not one).  Chunk size is *not* part of
-the Fig. 5 point key: the child stream draws its doubles in C order
-regardless of how the Bernoulli matrix is split into row blocks.
+Chunk size is not part of the Fig. 5 point key: the child stream
+draws its doubles in C order regardless of how the Bernoulli matrix is
+split into row blocks.
 """
 
 from __future__ import annotations
@@ -37,8 +35,11 @@ import numpy as np
 
 from repro.core.errors import validate_vdd
 
-#: Bumped when the provenance layout changes; part of every key.
-KEY_SCHEMA = 1
+#: Bumped when the provenance layout changes; part of every key, so
+#: rows written under an older layout become misses, never wrong
+#: answers.  Schema 2 removed the engine's lane width from
+#: scheme-campaign keys.
+KEY_SCHEMA = 2
 
 
 def canonical_json(payload: Any) -> str:
@@ -152,7 +153,6 @@ def scheme_campaign_key(
     frequency: float,
     runs: int,
     seed_base: int,
-    lanes: int,
     runner_kwargs: Mapping[str, Any],
 ) -> PointKey:
     """Key of one full (scheme, vdd) platform campaign."""
@@ -168,7 +168,6 @@ def scheme_campaign_key(
             "frequency": float(frequency),
             "runs": int(runs),
             "seed_base": int(seed_base),
-            "lanes": int(lanes),
             "runner_kwargs": _normalize_kwargs(runner_kwargs),
         },
     )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.batch import AccessBerGrid, BatchCampaign
-from repro.analysis.campaign import run_campaign
+from repro.analysis.campaign import _campaign_fingerprint, run_campaign
 from repro.core.access import (
     ACCESS_CELL_BASED_40NM,
     ACCESS_CELL_BASED_40NM_TYPICAL,
@@ -121,3 +121,14 @@ class TestCampaignFanout:
         assert serial.total_injected_bits == fanned.total_injected_bits
         assert serial.total_rollbacks == fanned.total_rollbacks
         assert serial.failures_by_kind == fanned.failures_by_kind
+
+    def test_journal_fingerprint_keeps_v1_bytes(self):
+        # A checkpoint journal resumes only under an identical
+        # fingerprint, so its text is pinned: journals written by
+        # earlier releases must keep resuming.
+        assert _campaign_fingerprint(
+            "SECDED", 0.44, 290e3, {"macro_style": "cell-based"}
+        ) == (
+            "campaign:v1:scheme=SECDED:vdd=0.44:frequency=290000.0:"
+            "kwargs=macro_style='cell-based'"
+        )

@@ -39,7 +39,6 @@ MAX_SUPPRESSIONS = 4
 #: rule id -> synthetic repo path its fixtures are checked under.
 FIXTURE_PATHS = {
     "REP101": "src/repro/analysis/example.py",
-    "REP102": "src/repro/soc/simd.py",
     "REP103": "src/repro/store/example.py",
     "REP104": "src/repro/serve/example.py",
     "REP201": "src/repro/memdev/example.py",

@@ -123,7 +123,6 @@ class TestActiveProfiler:
         assert not active_profiler().enabled
         # Null recording is safe with no registry enabled.
         NULL_PROFILER.record_burst(3, 5)
-        NULL_PROFILER.record_simd_service(1, 1, {}, {}, {}, {})
 
     def test_enable_disable_cycle(self):
         profiler = enable_profiling()
@@ -186,30 +185,6 @@ class TestProfilerRecording:
         assert snap.counters[names.PROFILE_WRITEBACK_WORDS] == 9
         assert snap.counters[names.PROFILE_WRITEBACK_BATCHES] == 1
 
-    def test_simd_service_folds_lane_histograms(self):
-        def record(p):
-            p.record_simd_service(
-                rounds=2,
-                vector_instructions=6,
-                occupancy={"2-3": 1, "4-7": 1},
-                density={"90-100%": 2},
-                divergence={"1": 2},
-                depth={"0": 2},
-                vector_cycles=7,
-            )
-
-        snap = self._record(record)
-        assert snap.counters[names.PROFILE_SIMD_ROUNDS] == 2
-        assert snap.counters[names.PROFILE_FAST_INSTRUCTIONS] == 6
-        assert snap.counters[names.PROFILE_FAST_CYCLES] == 7
-        assert snap.histograms[names.PROFILE_LANE_OCCUPANCY] == {
-            "2-3": 1,
-            "4-7": 1,
-        }
-        assert snap.histograms[names.PROFILE_MASK_DENSITY] == {
-            "90-100%": 2
-        }
-
 
 # ----------------------------------------------------------------------
 # Shard-merge property: K worker shards merge == one process
@@ -227,15 +202,6 @@ def _profiler_events():
     writeback = st.tuples(
         st.just("writeback"), st.integers(0, 32), st.booleans()
     )
-    # (occupied, active) per service round.
-    simd = st.tuples(
-        st.just("simd"),
-        st.lists(
-            st.tuples(st.integers(0, 8), st.integers(1, 8)),
-            min_size=1,
-            max_size=6,
-        ),
-    )
     opcodes = st.tuples(
         st.just("opcodes"),
         st.dictionaries(
@@ -244,7 +210,7 @@ def _profiler_events():
             max_size=4,
         ),
     )
-    return st.one_of(burst, slow, settle, writeback, simd, opcodes)
+    return st.one_of(burst, slow, settle, writeback, opcodes)
 
 
 def _replay(profiler, event):
@@ -257,30 +223,8 @@ def _replay(profiler, event):
         profiler.record_settlement(event[1], event[2])
     elif kind == "writeback":
         profiler.record_writeback(event[1], event[2])
-    elif kind == "opcodes":
-        profiler.record_opcodes(event[1])
     else:
-        occupancy, density, divergence, depth = {}, {}, {}, {}
-        vector_instructions = 0
-        for occupied, active in event[1]:
-            occupied = min(occupied, active)
-            for table, bucket in (
-                (occupancy, pow2_bucket(occupied)),
-                (density, ratio_bucket(occupied, active)),
-                (divergence, pow2_bucket(active - occupied + 1)),
-                (depth, pow2_bucket(4 * (active - occupied))),
-            ):
-                table[bucket] = table.get(bucket, 0) + 1
-            vector_instructions += occupied
-        profiler.record_simd_service(
-            len(event[1]),
-            vector_instructions,
-            occupancy,
-            density,
-            divergence,
-            depth,
-            vector_cycles=vector_instructions,
-        )
+        profiler.record_opcodes(event[1])
 
 
 class TestShardMergeProperty:
@@ -292,7 +236,7 @@ class TestShardMergeProperty:
     def test_merged_shards_match_single_process(self, events, shard_of):
         """Partitioning profiler events across K worker registries and
         merging their snapshots yields exactly the single-process
-        registry — including the SIMD lane-occupancy histograms."""
+        registry — including the burst-length and opcode histograms."""
         profiler = EngineProfiler()
         single = MetricsRegistry()
         with scoped_metrics(single):
@@ -649,11 +593,7 @@ def _report(encode_speedup=30.0, batch_s=0.1, quick=False):
         "platform": {
             "schemes": {"secded": {"speedup": 5.0, "fast_lane_s": 0.2}}
         },
-        "simd": {
-            "configs": [
-                {"lanes": 4, "speedup_vs_scalar": 3.0, "lockstep_s": 0.4}
-            ]
-        },
+        "faults": {"speedup": 3.0, "batch_s": 0.4},
         "profile": {"overhead_pct": 1.0, "bit_exact": True},
     }
 
@@ -663,7 +603,7 @@ class TestPerfHistory:
         sections = flatten_report(_report())
         assert sections["secded.encode_speedup"] == 30.0
         assert sections["platform.secded.speedup"] == 5.0
-        assert sections["simd.N4.speedup_vs_scalar"] == 3.0
+        assert sections["faults.speedup"] == 3.0
         assert sections["profile.overhead_pct"] == 1.0
         # bools and missing sections never leak in
         assert not any("bit_exact" in key for key in sections)
@@ -682,7 +622,7 @@ class TestPerfHistory:
 
     def test_direction_convention(self):
         assert lower_is_better("secded.encode_batch_s")
-        assert lower_is_better("simd.N4.lockstep_s")
+        assert lower_is_better("faults.batch_s")
         assert not lower_is_better("secded.encode_speedup")
         assert not lower_is_better("profile.overhead_pct")
 

@@ -101,7 +101,7 @@ def _reference_results(tmp_path, spec=SPEC):
         ACCESS_CELL_BASED_40NM_TYPICAL, spec["vdds"],
         store=ResultStore(tmp_path / "reference.sqlite"),
         frequency=spec["frequency"], runs=spec["runs"],
-        seed_base=spec["seed"], lanes=spec["lanes"],
+        seed_base=spec["seed"],
         macro_style=spec["macro_style"],
     )
     return [encode_campaign_result(result) for result in grid.results]
@@ -113,7 +113,7 @@ class TestSpec:
         assert spec["vdds"] == [0.5]
         assert spec["runs"] == 20
         assert spec["seed"] == 100
-        assert spec["lanes"] == 1
+        assert "lanes" not in spec
         assert spec["fft"] == 64
 
     def test_fingerprint_ignores_execution_knobs(self):
@@ -122,6 +122,14 @@ class TestSpec:
         assert spec_fingerprint(spec_a) == spec_fingerprint(spec_b)
         spec_c = normalize_spec({**SPEC, "runs": 3})
         assert spec_fingerprint(spec_c) != spec_fingerprint(spec_a)
+
+    def test_stray_lanes_field_does_not_split_dedup(self):
+        # Older clients and job-journal records still carry the
+        # retired engine-width field; it must not fork the dedup key.
+        plain = normalize_spec(dict(SPEC))
+        stray = normalize_spec({**SPEC, "lanes": 4})
+        assert stray == plain
+        assert spec_fingerprint(stray) == spec_fingerprint(plain)
 
     def test_normalize_rejects_unknown_scheme(self):
         with pytest.raises(ValueError):

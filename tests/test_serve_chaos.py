@@ -104,7 +104,7 @@ def _reference_results(tmp_path):
         ACCESS_CELL_BASED_40NM_TYPICAL, spec["vdds"],
         store=ResultStore(tmp_path / "reference.sqlite"),
         frequency=spec["frequency"], runs=spec["runs"],
-        seed_base=spec["seed"], lanes=spec["lanes"],
+        seed_base=spec["seed"],
         macro_style=spec["macro_style"],
     )
     return [encode_campaign_result(result) for result in grid.results]

@@ -82,7 +82,7 @@ def _grid_into(store, spec=SPEC):
         ACCESS_CELL_BASED_40NM_TYPICAL, spec["vdds"],
         store=store,
         frequency=spec["frequency"], runs=spec["runs"],
-        seed_base=spec["seed"], lanes=spec["lanes"],
+        seed_base=spec["seed"],
         macro_style=spec["macro_style"],
     )
     return [encode_campaign_result(result) for result in grid.results]

@@ -4,7 +4,7 @@ The store's contract has three load-bearing promises, each tested
 here:
 
 * **Provenance-only keys** — a fingerprint depends on what a campaign
-  point *is* (codec, fault model, voltage, seeds, lanes), never on how
+  point *is* (codec, fault model, voltage, seeds), never on how
   it happens to be executed (process count, retry budget, journaling).
 * **Append-safe persistence** — torn sidecar tails, a corrupted SQLite
   file, a concurrent writer, or a payload that no longer matches its
@@ -69,27 +69,33 @@ class TestKeys:
         base = dict(
             scheme="SECDED", workload="w", golden="g",
             access_model=ACCESS_CELL_BASED_40NM, vdd=0.44,
-            frequency=290e3, runs=4, seed_base=100, lanes=1,
+            frequency=290e3, runs=4, seed_base=100,
             runner_kwargs={},
         )
 
-        def fp(**overrides):
+        def key(**overrides):
             kwargs = {**base, **overrides}
             workload = build_fft_program(16)
             return scheme_campaign_key(
                 kwargs["scheme"], workload, [1, 2, 3],
                 kwargs["access_model"], kwargs["vdd"],
                 kwargs["frequency"], kwargs["runs"],
-                kwargs["seed_base"], kwargs["lanes"],
-                kwargs["runner_kwargs"],
-            ).fingerprint()
+                kwargs["seed_base"], kwargs["runner_kwargs"],
+            )
+
+        def fp(**overrides):
+            return key(**overrides).fingerprint()
 
         assert fp() == fp()
         assert fp(vdd=0.45) != fp()
         assert fp(seed_base=101) != fp()
-        # Lane count changes quarantine granularity, so it is
-        # provenance, not an execution knob.
-        assert fp(lanes=4) != fp()
+        # Exactly the inputs that decide a campaign's result; no
+        # execution knob (engine width, process count, ...) is keyed.
+        assert set(key().provenance()) == {
+            "kind", "schema", "scheme", "workload", "golden",
+            "access_model", "vdd", "frequency", "runs", "seed_base",
+            "runner_kwargs",
+        }
 
     def test_key_rejects_invalid_vdd(self):
         with pytest.raises(InvalidVoltageError):
