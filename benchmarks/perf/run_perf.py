@@ -378,7 +378,7 @@ def bench_platform(fft_points: int, seed: int = 7):
         (OceanRunner, 0.33),
     ):
         reference = runner_cls(
-            ACCESS_CELL_BASED_40NM_TYPICAL, seed=seed
+            ACCESS_CELL_BASED_40NM_TYPICAL, seed=seed, fast_lane=False
         )
         fast = runner_cls(
             ACCESS_CELL_BASED_40NM_TYPICAL, seed=seed, fast_lane=True

@@ -216,12 +216,17 @@ def run_campaign(
     and returns the fresh result.  Identical concurrent misses in one
     process collapse onto a single computation (in-flight
     deduplication).  Execution knobs (``processes``, retries,
-    timeouts, journal, chaos, progress) are not part of the key — the
-    engines are bit-exact across all of them.
+    timeouts, journal, chaos, progress) and the engine choice
+    (``fast_lane``) are part of neither the key nor the journal
+    fingerprint — the engines are bit-exact across all of them.
     """
     vdd = validate_vdd(vdd, "run_campaign")
     if runs <= 0:
         raise ValueError("runs must be positive")
+    provenance_kwargs = {
+        key: value for key, value in runner_kwargs.items()
+        if key != "fast_lane"
+    }
     if store is not None:
         from repro.store.pipeline import (
             campaign_point_key,
@@ -233,7 +238,7 @@ def run_campaign(
         key = campaign_point_key(
             runner_cls, workload, golden, access_model,
             vdd=vdd, frequency=frequency, runs=runs, seed_base=seed_base,
-            runner_kwargs=runner_kwargs,
+            runner_kwargs=provenance_kwargs,
         )
         fingerprint = key.fingerprint()
         while True:
@@ -306,7 +311,7 @@ def run_campaign(
                 tasks,
                 run_id=f"campaign-{runner_cls.name}-vdd{vdd:.3f}",
                 fingerprint=_campaign_fingerprint(
-                    runner_cls.name, vdd, frequency, runner_kwargs,
+                    runner_cls.name, vdd, frequency, provenance_kwargs,
                 ),
                 journal=journal,
                 progress=progress,

@@ -81,6 +81,12 @@ class BchCodec(Codec):
         The default 6 (n = 63) fits 32 data bits for every t <= 4.
     """
 
+    #: Class-level memo of the batch tables, keyed by ``(data_bits, t,
+    #: m)``.  They are pure functions of the code, so every instance
+    #: shares one read-only set: each OCEAN and DECTED runner builds
+    #: fresh codecs, and one table build costs tens of milliseconds.
+    _table_cache: dict[tuple[int, int, int], dict[str, np.ndarray | None]] = {}
+
     def __init__(self, data_bits: int = 32, t: int = 4, m: int = 6) -> None:
         if t < 1:
             raise ValueError(f"t must be at least 1, got {t}")
@@ -105,9 +111,14 @@ class BchCodec(Codec):
         self.code_bits = data_bits + self.n_check
         #: Number of (implicitly zero) shortened positions.
         self.shortened = self.n_full - self.code_bits
-        self._build_batch_tables()
+        key = (data_bits, t, m)
+        tables = self._table_cache.get(key)
+        if tables is None:
+            tables = self._build_batch_tables()
+            self._table_cache[key] = tables
+        self.__dict__.update(tables)
 
-    def _build_batch_tables(self) -> None:
+    def _build_batch_tables(self) -> dict[str, np.ndarray | None]:
         """Precompute the GF(2) matrix form of the code.
 
         * generator columns — encoding is linear, so the codeword of any
@@ -119,15 +130,19 @@ class BchCodec(Codec):
           a codeword.  The batch decoder uses this as an O(1) clean
           screen and only runs the scalar Berlekamp-Massey machinery on
           the (rare) dirty words.
+
+        Returns the tables by attribute name, every array read-only.
         """
+        tables: dict[str, np.ndarray | None] = {
+            "_enc_byte_luts": None,
+            "_rem_byte_luts": None,
+            "_syn_byte_luts": None,
+        }
         if self.data_bits > 64 or self.code_bits > 64:
-            self._enc_byte_luts = None
-            self._rem_byte_luts = None
-            self._syn_byte_luts = None
-            return
+            return tables
         n_data_bytes = (self.data_bits + 7) // 8
         data_mask = (1 << self.data_bits) - 1
-        self._enc_byte_luts = np.array(
+        tables["_enc_byte_luts"] = np.array(
             [
                 [self._encode_raw((v << (8 * k)) & data_mask)
                  for v in range(256)]
@@ -137,7 +152,7 @@ class BchCodec(Codec):
         )
         n_code_bytes = (self.code_bits + 7) // 8
         code_mask = (1 << self.code_bits) - 1
-        self._rem_byte_luts = np.array(
+        tables["_rem_byte_luts"] = np.array(
             [
                 [_gf2_poly_mod((v << (8 * k)) & code_mask, self.generator)
                  for v in range(256)]
@@ -152,7 +167,6 @@ class BchCodec(Codec):
         # XOR of per-byte table entries.  All-zero packed syndromes is
         # exactly the CLEAN condition, and the dirty words arrive at
         # Berlekamp-Massey with their syndromes already computed.
-        self._syn_byte_luts = None
         if 2 * self.t * self.field.m <= 64:
             m = self.field.m
             syn_luts = np.zeros((n_code_bytes, 256), dtype=np.uint64)
@@ -163,21 +177,25 @@ class BchCodec(Codec):
                     for j, syndrome in enumerate(self._syndromes(part)):
                         packed |= syndrome << (j * m)
                     syn_luts[k, v] = packed
-            self._syn_byte_luts = syn_luts
+            tables["_syn_byte_luts"] = syn_luts
             size = self.field.order - 1
-            self._exp_np = np.array(self.field.exp, dtype=np.uint64)
-            self._log_np = np.array(self.field.log, dtype=np.int64)
+            tables["_exp_np"] = np.array(self.field.exp, dtype=np.uint64)
+            tables["_log_np"] = np.array(self.field.log, dtype=np.int64)
             # Chien exponent rows: locator(alpha^{-p}) sums
             # coef_k * alpha^{-p*k}; row k holds (-p*k) mod (2^m - 1)
             # for every position p, so one doubled-exp gather per
             # locator coefficient evaluates all positions at once.
-            self._chien_neg = np.array(
+            tables["_chien_neg"] = np.array(
                 [
                     [(-position * k) % size for position in range(self.n_full)]
                     for k in range(self.t + 2)
                 ],
                 dtype=np.int64,
             )
+        for array in tables.values():
+            if array is not None:
+                array.flags.writeable = False
+        return tables
 
     def _encode_raw(self, data: int) -> int:
         """Systematic encode without the range check (LUT construction)."""

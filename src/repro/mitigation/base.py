@@ -73,9 +73,9 @@ class SchemeRunner(abc.ABC):
         Fault-engine RNG seed (reproducible campaigns).
     fast_lane:
         Run the platform with the clean-burst fast lane
-        (:mod:`repro.soc.fastlane`).  Bit-exact with the reference
-        interpreter; off by default so existing studies keep their
-        exact execution path unless they opt in.
+        (:mod:`repro.soc.fastlane`), the production engine.  Bit-exact
+        with the reference interpreter; ``False`` selects the scalar
+        :class:`~repro.soc.cpu.Cpu`, which tests keep as the oracle.
     """
 
     #: Scheme name, matching the fit-solver scheme.
@@ -89,7 +89,7 @@ class SchemeRunner(abc.ABC):
         config: PlatformConfig | None = None,
         seed: int = 0,
         macro_style: str = "cell-based",
-        fast_lane: bool = False,
+        fast_lane: bool = True,
     ) -> None:
         self.access_model = access_model
         self.config = config if config is not None else PlatformConfig()

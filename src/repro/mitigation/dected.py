@@ -68,6 +68,7 @@ class DectedRunner(SchemeRunner):
             CodecPort(im, codec, raise_on_detect=True, auto_scrub=True),
             sp,
             CodecPort(sp, codec, raise_on_detect=True, auto_scrub=True),
+            fast_lane=self.fast_lane,
         )
 
     def memory_specs(self) -> list[MemoryComponentSpec]:

@@ -70,14 +70,6 @@ def pow2_bucket(n: int) -> str:
     return f"{low}-{2 * low - 1}"
 
 
-def ratio_bucket(part: int, whole: int) -> str:
-    """Decile bucket label for ``part / whole``."""
-    if whole <= 0:
-        return "0-10%"
-    decile = min(9, (10 * part) // whole)
-    return f"{10 * decile}-{10 * (decile + 1)}%"
-
-
 class EngineProfiler:
     """Records engine-level cost breakdowns into the active metrics.
 
@@ -222,6 +214,5 @@ __all__ = [
     "disable_profiling",
     "enable_profiling",
     "pow2_bucket",
-    "ratio_bucket",
     "scoped_profiling",
 ]

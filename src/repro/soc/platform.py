@@ -93,9 +93,11 @@ class Platform:
     fast_lane:
         Execute fault-free stretches through the clean-burst engine
         (:mod:`repro.soc.fastlane`) — bit-exact with the reference
-        interpreter but an order of magnitude faster.  Silently falls
-        back to the reference path when the ports are not the stock
-        types (e.g. a profiling wrapper observes every fetch).
+        interpreter but an order of magnitude faster, so it is on by
+        default; ``False`` runs the scalar :class:`~repro.soc.cpu.Cpu`,
+        the test oracle.  Silently falls back to the reference path
+        when the ports are not the stock types (e.g. a profiling
+        wrapper observes every fetch).
     """
 
     def __init__(
@@ -106,7 +108,7 @@ class Platform:
         sp_port,
         pm: FaultyMemory | None = None,
         pm_port=None,
-        fast_lane: bool = False,
+        fast_lane: bool = True,
     ) -> None:
         self.im = im
         self.im_port = im_port

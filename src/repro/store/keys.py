@@ -7,7 +7,9 @@ canonical JSON of its **provenance** — exactly the fields that
 determine the result bit-for-bit (codec/scheme, fault model, vdd, seed
 range, workload) and nothing else.
 
-Execution knobs are deliberately excluded: ``processes``, retry
+Execution knobs are deliberately excluded: the engine choice
+(``fast_lane``, the clean-burst fast lane or the reference ``Cpu``,
+which ``run_campaign`` drops before keying), ``processes``, retry
 budgets, task timeouts, journals, chaos policies and the
 profiling/progress options change *how* a point is computed, never
 *what* it computes — the engines are proven bit-exact across all of

@@ -122,6 +122,35 @@ class TestCampaignFanout:
         assert serial.total_rollbacks == fanned.total_rollbacks
         assert serial.failures_by_kind == fanned.failures_by_kind
 
+    @pytest.mark.parametrize("writer, reader", [(False, True), (True, False)])
+    def test_journal_resumes_across_engines(
+        self, fft_fixture, tmp_path, writer, reader
+    ):
+        # Engine choice is not part of the journal fingerprint: a
+        # journal half-written on one engine finishes on the other.
+        program, golden = fft_fixture
+        kwargs = dict(
+            workload=program.workload,
+            golden=golden,
+            access_model=ACCESS_CELL_BASED_40NM,
+            vdd=0.44,
+            runs=4,
+            seed_base=100,
+            macro_style="cell-based",
+        )
+        baseline = run_campaign(SecdedRunner, **kwargs)
+        journal = str(tmp_path / "campaign.ndjson")
+        run_campaign(
+            SecdedRunner, journal=journal, fast_lane=writer,
+            **{**kwargs, "runs": 2},
+        )
+        resumed = run_campaign(
+            SecdedRunner, journal=journal, fast_lane=reader, **kwargs
+        )
+        assert resumed.resilience.resumed == 2
+        assert resumed.resilience.executed == 2
+        assert resumed == baseline
+
     def test_journal_fingerprint_keeps_v1_bytes(self):
         # A checkpoint journal resumes only under an identical
         # fingerprint, so its text is pinned: journals written by

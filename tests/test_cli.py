@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, run
@@ -45,6 +47,15 @@ class TestRun:
         for scheme in ("none", "SECDED", "OCEAN"):
             assert scheme in text
         assert "OCEAN vs none" in text
+
+    def test_campaign_runs_on_the_fast_lane(self):
+        text = run([
+            "campaign", "--fft", "16", "--vdd", "0.44", "--runs", "2",
+            "--no-store", "--profile",
+        ])
+        # Every engine entry of every run is the fast lane; none fell
+        # back to the scalar interpreter.
+        assert re.search(r"runs: (\d+) \(fastlane=\1\)\n", text)
 
     def test_rejects_non_power_of_two_fft(self):
         with pytest.raises(SystemExit, match="power of two"):

@@ -152,6 +152,43 @@ class TestBchPatterns:
             np.testing.assert_array_equal(batch.corrected_bits, k)
 
 
+class TestBchTableMemo:
+    TABLES = (
+        "_enc_byte_luts", "_rem_byte_luts", "_syn_byte_luts",
+        "_exp_np", "_log_np", "_chien_neg",
+    )
+
+    def test_codecs_share_read_only_tables(self):
+        first, second = BchCodec(t=2), BchCodec(t=2)
+        for name in self.TABLES:
+            table = getattr(first, name)
+            assert table is getattr(second, name)
+            assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            first._syn_byte_luts[0, 0] = 1
+        assert BchCodec(t=4)._syn_byte_luts is not first._syn_byte_luts
+
+    @pytest.mark.parametrize("t", [1, 2, 4])
+    def test_memoised_batch_output_is_unchanged(self, t, monkeypatch):
+        # An empty memo forces a fresh table build; the second codec is
+        # then served from the memo.  Both must match the scalar codec.
+        monkeypatch.setattr(BchCodec, "_table_cache", {})
+        fresh = BchCodec(t=t)
+        memoised = BchCodec(t=t)
+        assert memoised._syn_byte_luts is fresh._syn_byte_luts
+        rng = np.random.default_rng(6)
+        words = rng.integers(0, 1 << 32, size=512, dtype=np.uint64)
+        codewords = scalar_encode(fresh, words)
+        np.testing.assert_array_equal(fresh.encode_batch(words), codewords)
+        np.testing.assert_array_equal(memoised.encode_batch(words), codewords)
+        n_flips = rng.integers(0, t + 2, size=codewords.size)
+        for i, k in enumerate(n_flips):
+            for bit in rng.choice(fresh.code_bits, size=int(k), replace=False):
+                codewords[i] ^= np.uint64(1) << np.uint64(bit)
+        assert_batch_matches_scalar(fresh, codewords)
+        assert_batch_matches_scalar(memoised, codewords)
+
+
 class TestBatchResultApi:
     def test_getitem_recovers_scalar_results(self):
         codec = SecdedCodec()

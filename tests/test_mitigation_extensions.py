@@ -70,6 +70,28 @@ class TestDected:
         assert completed
         assert failure is None
 
+    @pytest.mark.parametrize("vdd", [0.38, 0.42])
+    def test_honours_fast_lane_bit_exactly(self, program, vdd):
+        """DECTED runs the engine it is asked for, and both agree."""
+        outcomes = {}
+        for fast_lane in (False, True):
+            runner = DectedRunner(
+                ACCESS_CELL_BASED_40NM, seed=5, fast_lane=fast_lane
+            )
+            outcomes[fast_lane] = runner.run(
+                program.workload, vdd=vdd, frequency=290e3
+            )
+            platform = runner.last_platform
+            assert platform.fast_lane is fast_lane
+            assert (platform._fast_engine is not None) is fast_lane
+        reference, fast = outcomes[False], outcomes[True]
+        assert sum(reference.sim.injected_bits.values()) > 0
+        assert fast.sim == reference.sim
+        assert fast.output == reference.output
+        assert (fast.completed, fast.failure) == (
+            reference.completed, reference.failure
+        )
+
     def test_storage_overhead_ladder(self):
         """7 -> 12 -> 24 check bits for SECDED -> DECTED -> BCH t=4."""
         assert SecdedCodec().check_bits == 7

@@ -35,7 +35,6 @@ from repro.obs.profile import (
     disable_profiling,
     enable_profiling,
     pow2_bucket,
-    ratio_bucket,
     scoped_profiling,
 )
 from repro.obs.report import (
@@ -90,28 +89,6 @@ class TestBuckets:
         else:
             low = high = int(bucket)
         assert low <= n <= high
-
-    @pytest.mark.parametrize(
-        "part, whole, bucket",
-        [
-            (0, 4, "0-10%"),
-            (1, 2, "50-60%"),
-            (4, 4, "90-100%"),
-            (3, 4, "70-80%"),
-            (0, 0, "0-10%"),  # degenerate whole
-        ],
-    )
-    def test_ratio_bucket(self, part, whole, bucket):
-        assert ratio_bucket(part, whole) == bucket
-
-    @given(
-        part=st.integers(min_value=0, max_value=64),
-        whole=st.integers(min_value=1, max_value=64),
-    )
-    def test_ratio_bucket_is_a_valid_decile(self, part, whole):
-        bucket = ratio_bucket(min(part, whole), whole)
-        low = int(bucket.split("-")[0])
-        assert 0 <= low <= 90 and low % 10 == 0
 
 
 # ----------------------------------------------------------------------

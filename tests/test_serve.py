@@ -25,6 +25,8 @@ import pytest
 
 from repro.core.access import ACCESS_CELL_BASED_40NM_TYPICAL
 from repro.mitigation import SecdedRunner
+from repro.obs import MetricsRegistry, names, scoped_metrics
+from repro.obs.profile import ENGINE_FAST_LANE, scoped_profiling
 from repro.serve import ServerThread, normalize_spec, spec_fingerprint
 from repro.serve.server import CampaignJobServer
 from repro.store import (
@@ -199,6 +201,21 @@ class TestEndpoints:
             assert _request(
                 handle.url + "/submit", payload={"scheme": "bogus"}
             )[0] == 400
+
+
+class TestEngine:
+    def test_jobs_run_on_the_fast_lane(self, tmp_path):
+        registry = MetricsRegistry()
+        with scoped_metrics(registry), scoped_profiling():
+            with ServerThread(ResultStore(tmp_path / "s.sqlite")) as handle:
+                status, submitted = _request(
+                    handle.url + "/submit", payload={**SPEC, "vdds": [0.44]}
+                )
+                assert status == 202
+                done = _wait(handle.url, submitted["job"])
+        assert done["state"] == "done"
+        engines = registry.snapshot().histograms[names.PROFILE_ENGINE]
+        assert set(engines) == {ENGINE_FAST_LANE}
 
 
 class TestDedup:

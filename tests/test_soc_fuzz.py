@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.access import ACCESS_CELL_BASED_40NM_TYPICAL
-from repro.ecc import SecdedCodec
+from repro.ecc import BchCodec, SecdedCodec
 from repro.soc.assembler import assemble
 from repro.soc.cpu import Cpu, StopReason
 from repro.soc.faults import VoltageFaultModel
@@ -294,13 +294,18 @@ def _build_soc(scheme, vdd, seed, fast_lane):
         sp = FaultyMemory("SP", _SP_WORDS, 32, faults=faults(32, 1))
         im_port, sp_port = RawPort(im), RawPort(sp)
     else:
-        codec = SecdedCodec()
+        # "dected" wires the BCH t=2 ports exactly as DectedRunner does
+        # (CodecPort raises on a detected error by default).
+        if scheme == "dected":
+            codec = BchCodec(data_bits=32, t=2)
+        else:
+            codec = SecdedCodec()
         if scheme == "detect":
             codec = DetectOnlyCodec(codec)
         width = codec.code_bits
         im = FaultyMemory("IM", _IM_WORDS, width, faults=faults(width, 0))
         sp = FaultyMemory("SP", _SP_WORDS, width, faults=faults(width, 1))
-        scrub = scheme == "secded"
+        scrub = scheme in ("secded", "dected")
         im_port = CodecPort(im, codec, auto_scrub=scrub)
         sp_port = CodecPort(sp, codec, auto_scrub=scrub)
     return Platform(im, im_port, sp, sp_port, fast_lane=fast_lane)
@@ -362,7 +367,7 @@ def _fingerprint(platform):
 def soc_scenarios(draw):
     program = draw(soc_programs())
     vdd = draw(st.sampled_from([0.55, 0.45, 0.40, 0.35, 0.30]))
-    scheme = draw(st.sampled_from(["raw", "secded", "detect"]))
+    scheme = draw(st.sampled_from(["raw", "secded", "detect", "dected"]))
     seed = draw(st.integers(0, 1 << 16))
     return program, vdd, scheme, seed
 

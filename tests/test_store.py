@@ -409,14 +409,53 @@ class TestCampaignStore:
         assert warm == cold  # resilience is compare=False: bit-identity
 
     def test_execution_knobs_do_not_change_the_key(self, tmp_path):
+        # Neither the engine (the reference interpreter computes the
+        # point, the default fast lane is served it) nor retry budgets
+        # split the store: the second call is a hit with zero puts.
         store = ResultStore(tmp_path / "s.sqlite")
-        cold = run_campaign(SecdedRunner, **self._kwargs(store))
+        cold = run_campaign(
+            SecdedRunner, **self._kwargs(store, fast_lane=False)
+        )
+        before = store.stats()
         warm = run_campaign(
             SecdedRunner,
             **self._kwargs(store, max_retries=7, task_timeout=30.0),
         )
+        after = store.stats()
         assert warm.resilience is None
         assert warm == cold
+        assert after["hits"] - before["hits"] == 1
+        assert after["puts"] - before["puts"] == 0
+
+    def test_default_key_text_is_unchanged(self, tmp_path):
+        # Keeping the engine choice out of keys must not move the key
+        # of a call that never named an engine: existing stores stay
+        # warm.  The text below is the key such a call always had.
+        text = (
+            '{"access_model": {"amplitude": 4.5, "exponent": 7.4, '
+            '"v_onset": 0.36}, "frequency": 290000.0, "golden": '
+            '"36b249bd6e417b0f89273e704a10e2582bf862a9c4b3820309c8d89db416a2be", '
+            '"kind": "scheme-campaign", "runner_kwargs": {"macro_style": '
+            '"cell-based"}, "runs": 2, "schema": 2, "scheme": "SECDED", '
+            '"seed_base": 100, "vdd": 0.44, "workload": '
+            '"93c3f28e6c0c4723d8fca1da031ee068c82d095a6c68deee5afcdb1affbe6604"}'
+        )
+        program = build_fft_program(16)
+        golden = program.expected_output(list(program.data_words[:16]))
+        key = scheme_campaign_key(
+            "SECDED", program.workload, golden,
+            ACCESS_CELL_BASED_40NM_TYPICAL, 0.44, 290e3, 2, 100,
+            {"macro_style": "cell-based"},
+        )
+        assert key.provenance_json == text
+        store = ResultStore(tmp_path / "s.sqlite")
+        run_campaign(
+            SecdedRunner, program.workload, golden,
+            ACCESS_CELL_BASED_40NM_TYPICAL, 0.44, runs=2, seed_base=100,
+            macro_style="cell-based", store=store,
+        )
+        assert store.get(key) is not None
+        assert store.stats()["rows"] == 1
 
     def test_payload_codec_roundtrips_exactly(self, tmp_path):
         store = ResultStore(tmp_path / "s.sqlite")
