@@ -357,17 +357,52 @@ def _platform_rng_states(runner):
     ]
 
 
-def bench_platform(fft_points: int, seed: int = 7):
+def _timed_block_compilation():
+    """Patch the fast lane's block compiler to time itself.
+
+    Empties the process-wide code cache first, so the next fast-lane
+    run compiles every block it enters.  Returns ``(seconds, undo)``
+    where ``seconds[0]`` accumulates compile-and-lookup time.
+    """
+    from repro.soc import fastlane
+
+    fastlane._CODE_CACHE.clear()
+    original = fastlane.compiled_block
+    seconds = [0.0]
+
+    def timed(*args):
+        start = time.perf_counter()
+        try:
+            return original(*args)
+        finally:
+            seconds[0] += time.perf_counter() - start
+
+    fastlane.compiled_block = timed
+
+    def undo():
+        fastlane.compiled_block = original
+
+    return seconds, undo
+
+
+def bench_platform(fft_points: int, seed: int = 7, repeats: int = 3):
     """End-to-end platform runs: reference interpreter vs fast lane.
 
     One FFT run per scheme at its Table 2 operating voltage, executed
-    twice from identical seeds — once through ``Cpu.run`` and once
-    through the clean-burst fast lane.  Bit-exactness here is the
-    strictest available: identical :class:`SimulationResult` (cycles,
+    from identical seeds through ``Cpu.run`` and through the
+    clean-burst fast lane.  Bit-exactness here is the strictest
+    available: identical :class:`SimulationResult` (cycles,
     instructions, access counters, corrected/detected words, injected
     bits), identical program output, and byte-identical RNG
     bit-generator states on every fault stream — i.e. the fast lane
     consumed exactly the same random draws as per-access sampling.
+
+    The first fast-lane run of each scheme starts from an empty block
+    cache and pays the one-off block compilation (``fast_lane_cold_s``,
+    of which ``compile_s`` is compilation); ``fast_lane_s``,
+    ``fast_lane_mips`` and ``speedup`` are the best of ``repeats`` warm
+    runs, against the best of ``repeats`` reference runs.  Both the
+    cold and a warm fast-lane run are checked for bit-exactness.
     """
     program = build_fft_program(fft_points)
     golden = program.expected_output(list(program.data_words[:fft_points]))
@@ -377,56 +412,73 @@ def bench_platform(fft_points: int, seed: int = 7):
         (SecdedRunner, 0.44),
         (OceanRunner, 0.33),
     ):
-        reference = runner_cls(
-            ACCESS_CELL_BASED_40NM_TYPICAL, seed=seed, fast_lane=False
-        )
-        fast = runner_cls(
-            ACCESS_CELL_BASED_40NM_TYPICAL, seed=seed, fast_lane=True
-        )
-        start = time.perf_counter()
-        ref_outcome = reference.run(program.workload, vdd, 25e6)
-        t_reference = time.perf_counter() - start
-        start = time.perf_counter()
-        fast_outcome = fast.run(program.workload, vdd, 25e6)
-        t_fast = time.perf_counter() - start
+        def run(fast_lane):
+            runner = runner_cls(
+                ACCESS_CELL_BASED_40NM_TYPICAL, seed=seed,
+                fast_lane=fast_lane,
+            )
+            start = time.perf_counter()
+            outcome = runner.run(program.workload, vdd, 25e6)
+            elapsed = time.perf_counter() - start
+            return outcome, _platform_rng_states(runner), elapsed
 
-        bit_exact = bool(
-            ref_outcome.sim == fast_outcome.sim
-            and ref_outcome.completed == fast_outcome.completed
-            and ref_outcome.failure == fast_outcome.failure
-            and ref_outcome.output == fast_outcome.output
+        ref_outcome, ref_rng, t_reference = run(False)
+        for _ in range(repeats - 1):
+            t_reference = min(t_reference, run(False)[2])
+        compile_s, undo = _timed_block_compilation()
+        try:
+            cold_outcome, cold_rng, t_cold = run(True)
+        finally:
+            undo()
+        fast_outcome, fast_rng, t_fast = run(True)
+        for _ in range(repeats - 1):
+            t_fast = min(t_fast, run(True)[2])
+
+        bit_exact = all(
+            ref_outcome.sim == outcome.sim
+            and ref_outcome.completed == outcome.completed
+            and ref_outcome.failure == outcome.failure
+            and ref_outcome.output == outcome.output
+            for outcome in (cold_outcome, fast_outcome)
         )
-        rng_identical = bool(
-            _platform_rng_states(reference) == _platform_rng_states(fast)
-        )
+        rng_identical = ref_rng == cold_rng == fast_rng
         instructions = fast_outcome.sim.instructions
-        sections[reference.name] = {
+        sections[runner_cls.name] = {
             "vdd": vdd,
             "instructions": instructions,
             "completed": fast_outcome.completed,
             "output_correct": fast_outcome.output_matches(golden),
-            "bit_exact": bit_exact,
-            "rng_stream_identical": rng_identical,
+            "bit_exact": bool(bit_exact),
+            "rng_stream_identical": bool(rng_identical),
             "reference_s": t_reference,
             "fast_lane_s": t_fast,
+            "fast_lane_cold_s": t_cold,
+            "compile_s": compile_s[0],
             "reference_mips": instructions / t_reference / 1e6,
             "fast_lane_mips": instructions / t_fast / 1e6,
+            "fast_lane_cold_mips": instructions / t_cold / 1e6,
             "speedup": t_reference / t_fast,
         }
-    return {"fft_points": fft_points, "seed": seed, "schemes": sections}
+    return {
+        "fft_points": fft_points,
+        "seed": seed,
+        "repeats": repeats,
+        "schemes": sections,
+    }
 
 
-def bench_profile(fft_points: int, seed: int = 7, repeats: int = 3):
+def bench_profile(fft_points: int, seed: int = 7, repeats: int = 9):
     """Engine-profiler cost and neutrality on the platform workload.
 
     Runs the SECDED fast-lane FFT with profiling disabled and enabled
     (fresh runners, identical seeds) and checks the two outcomes stay
     bit-exact — identical :class:`SimulationResult`, program output and
     RNG stream positions — while reporting the enabled-profiler wall
-    overhead.  The disabled path is by construction the unmodified
-    engine loop (the profiled twin is only entered when a live profiler
-    is installed), so its cost is already covered by the platform
-    section's own timings.
+    overhead.  Both runs take the same engine loop; a live profiler
+    only adds per-burst segment records and the opcode-mix derivation
+    at the end of each run.  A run takes some 10 ms, so the two kinds
+    alternate and each keeps its best of ``repeats``: machine noise
+    then hits both alike instead of whichever ran second.
     """
     program = build_fft_program(fft_points)
     golden = program.expected_output(list(program.data_words[:fft_points]))
@@ -445,10 +497,12 @@ def bench_profile(fft_points: int, seed: int = 7, repeats: int = 3):
         with obs.scoped_metrics(registry), obs.scoped_profiling():
             return run_once()
 
-    t_off = best_of(lambda: run_once(), repeats=repeats)
     off_outcome, off_rng = run_once()
-    t_on = best_of(lambda: run_profiled(), repeats=repeats)
     on_outcome, on_rng = run_profiled()
+    t_off = t_on = float("inf")
+    for _ in range(repeats):
+        t_off = min(t_off, best_of(run_once, repeats=1, warmup=0))
+        t_on = min(t_on, best_of(run_profiled, repeats=1, warmup=0))
     snapshot = registry.snapshot()
 
     bit_exact = bool(
@@ -920,8 +974,10 @@ def main() -> int:
     for name, s in schemes.items():
         print(
             f"{'platform ' + name:>16}: fast lane {s['speedup']:6.1f}x "
-            f"({s['fast_lane_mips']:.2f} vs {s['reference_mips']:.2f} "
-            f"MIPS, bit_exact={s['bit_exact']}, "
+            f"({s['fast_lane_mips']:.2f} warm / "
+            f"{s['fast_lane_cold_mips']:.2f} cold vs "
+            f"{s['reference_mips']:.2f} MIPS, compile "
+            f"{s['compile_s'] * 1e3:.1f} ms, bit_exact={s['bit_exact']}, "
             f"rng_identical={s['rng_stream_identical']})"
         )
     p = results["profile"]

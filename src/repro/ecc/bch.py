@@ -85,7 +85,9 @@ class BchCodec(Codec):
     #: m)``.  They are pure functions of the code, so every instance
     #: shares one read-only set: each OCEAN and DECTED runner builds
     #: fresh codecs, and one table build costs tens of milliseconds.
-    _table_cache: dict[tuple[int, int, int], dict[str, np.ndarray | None]] = {}
+    _table_cache: dict[
+        tuple[int, int, int], dict[str, np.ndarray | tuple | None]
+    ] = {}
 
     def __init__(self, data_bits: int = 32, t: int = 4, m: int = 6) -> None:
         if t < 1:
@@ -118,7 +120,7 @@ class BchCodec(Codec):
             self._table_cache[key] = tables
         self.__dict__.update(tables)
 
-    def _build_batch_tables(self) -> dict[str, np.ndarray | None]:
+    def _build_batch_tables(self) -> dict[str, np.ndarray | tuple | None]:
         """Precompute the GF(2) matrix form of the code.
 
         * generator columns — encoding is linear, so the codeword of any
@@ -133,8 +135,9 @@ class BchCodec(Codec):
 
         Returns the tables by attribute name, every array read-only.
         """
-        tables: dict[str, np.ndarray | None] = {
+        tables: dict[str, np.ndarray | tuple | None] = {
             "_enc_byte_luts": None,
+            "_enc_rows": None,
             "_rem_byte_luts": None,
             "_syn_byte_luts": None,
         }
@@ -149,6 +152,11 @@ class BchCodec(Codec):
                 for k in range(n_data_bytes)
             ],
             dtype=np.uint64,
+        )
+        # The scalar encoder gathers from the same table, held as
+        # tuples of Python ints.
+        tables["_enc_rows"] = tuple(
+            tuple(int(v) for v in row) for row in tables["_enc_byte_luts"]
         )
         n_code_bytes = (self.code_bits + 7) // 8
         code_mask = (1 << self.code_bits) - 1
@@ -193,7 +201,7 @@ class BchCodec(Codec):
                 dtype=np.int64,
             )
         for array in tables.values():
-            if array is not None:
+            if isinstance(array, np.ndarray):
                 array.flags.writeable = False
         return tables
 
@@ -203,9 +211,20 @@ class BchCodec(Codec):
         return shifted | _gf2_poly_mod(shifted, self.generator)
 
     def encode(self, data: int) -> int:
-        """Systematic encode: codeword = data * x^r + remainder."""
+        """Systematic encode: codeword = data * x^r + remainder.
+
+        One byte-sliced generator-table gather per data byte (the
+        polynomial division of :meth:`_encode_raw` built the table).
+        """
         self._check_data(data)
-        return self._encode_raw(data)
+        rows = self._enc_rows
+        if rows is None:
+            return self._encode_raw(data)
+        codeword = 0
+        for row in rows:
+            codeword ^= row[data & 0xFF]
+            data >>= 8
+        return codeword
 
     # ------------------------------------------------------------------
     # Batch API

@@ -17,8 +17,11 @@ The batch path works in GF(2) matrix form: the codec precomputes the
 column is just the encoding of a one-hot word), the six parity-check
 row masks, and a 256-entry syndrome lookup table mapping
 ``(overall parity, 6-bit syndrome)`` straight to the flip mask, status
-and corrected-bit count of the scalar decision tree.  ``encode_batch``
-and ``decode_batch`` are bit-exact with the scalar paths.
+and corrected-bit count of the bit-loop decision tree
+(``_decode_reference``, from which the table is built).
+``decode_batch`` applies the tables to arrays; the scalar ``decode``
+reads the same tables, held as tuples, one word at a time.  Both are
+bit-exact with the reference decision tree.
 """
 
 from __future__ import annotations
@@ -31,9 +34,8 @@ from repro.ecc.base import (
     Codec,
     DecodeResult,
     DecodeStatus,
-    STATUS_CLEAN,
-    STATUS_CORRECTED,
     STATUS_DETECTED,
+    status_code,
 )
 
 _POSITIONS = 38  # Hamming part (positions 1..38)
@@ -44,6 +46,9 @@ _DATA_POSITIONS = tuple(
 assert len(_DATA_POSITIONS) == 32
 
 _U64 = np.uint64
+
+#: Batch status code -> :class:`DecodeStatus`, for the scalar tables.
+_STATUSES = {status_code(status): status for status in DecodeStatus}
 
 
 def _parity(value: int) -> int:
@@ -124,33 +129,54 @@ class SecdedCodec(Codec):
                 index_luts[k, v] = (_parity(part) << 6) | syndrome
         self._index_byte_luts = index_luts
         # Syndrome LUT: index = (overall parity << 6) | syndrome.  Each
-        # entry resolves the scalar decode decision tree in one lookup:
-        # the codeword flip mask, the status code and the corrected-bit
-        # count.
+        # entry resolves the decode decision tree in one lookup — the
+        # codeword flip mask, the status code and the corrected-bit
+        # count — taken from the bit-loop reference decoder run on a
+        # codeword with that parity and syndrome.  Indices from 128 up
+        # never occur and stay DETECTED.
         self._flip_lut = np.zeros(256, dtype=_U64)
         self._status_lut = np.full(256, STATUS_DETECTED, dtype=np.uint8)
         self._corrected_lut = np.zeros(256, dtype=np.int64)
-        for syndrome in range(64):
-            for overall in (0, 1):
-                index = (overall << 6) | syndrome
-                if overall == 0 and syndrome == 0:
-                    self._status_lut[index] = STATUS_CLEAN
-                elif overall == 1 and syndrome == 0:
-                    # The overall parity bit itself flipped.
-                    self._flip_lut[index] = _U64(1) << _U64(self.code_bits - 1)
-                    self._status_lut[index] = STATUS_CORRECTED
-                    self._corrected_lut[index] = 1
-                elif overall == 1 and 1 <= syndrome <= _POSITIONS:
-                    self._flip_lut[index] = _U64(1) << _U64(syndrome - 1)
-                    self._status_lut[index] = STATUS_CORRECTED
-                    self._corrected_lut[index] = 1
-                # Remaining cases (even parity with non-zero syndrome,
-                # or a syndrome pointing past position 38) stay DETECTED.
+        for index in range(128):
+            codeword = self._codeword_with_index(index)
+            fixed, status, corrected_bits = self._decode_reference(codeword)
+            self._flip_lut[index] = fixed ^ codeword
+            self._status_lut[index] = status_code(status)
+            self._corrected_lut[index] = corrected_bits
+        # The scalar decode reads the same tables as plain Python
+        # sequences (an int index into a tuple beats a numpy scalar).
+        self._index_rows = tuple(
+            tuple(int(v) for v in row) for row in index_luts
+        )
+        self._ext_rows = tuple(
+            tuple(int(v) for v in row) for row in self._ext_byte_luts
+        )
+        self._flip_row = tuple(int(v) for v in self._flip_lut)
+        self._status_row = tuple(
+            _STATUSES[int(v)] for v in self._status_lut
+        )
+        self._corrected_row = tuple(int(v) for v in self._corrected_lut)
         return {
             name: value
             for name, value in self.__dict__.items()
             if name.startswith("_")
         }
+
+    @classmethod
+    def _codeword_with_index(cls, index: int) -> int:
+        """A codeword whose LUT index ``(parity << 6) | syndrome`` is
+        ``index``: the syndrome from one Hamming position (or two, past
+        position 38), the parity fixed up with the overall bit."""
+        overall, syndrome = index >> 6, index & 0x3F
+        if syndrome == 0:
+            codeword = 0
+        elif syndrome <= _POSITIONS:
+            codeword = 1 << (syndrome - 1)
+        else:
+            codeword = (1 << 31) | (1 << (syndrome - 32 - 1))
+        if _parity(codeword) != overall:
+            codeword ^= 1 << (cls.code_bits - 1)
+        return codeword
 
     # ------------------------------------------------------------------
     # Scalar path
@@ -179,8 +205,37 @@ class SecdedCodec(Codec):
         return self._encode_scalar(data)
 
     def decode(self, codeword: int) -> DecodeResult:
-        """Decode a 39-bit codeword; correct 1 error, detect 2."""
+        """Decode a 39-bit codeword; correct 1 error, detect 2.
+
+        Five byte gathers give the syndrome-table index; one flip, five
+        extraction gathers and the status/corrected-bit tables finish
+        the job — the batch kernel's tables, per word.
+        """
         self._check_codeword(codeword)
+        i0, i1, i2, i3, i4 = self._index_rows
+        index = (
+            i0[codeword & 0xFF] ^ i1[(codeword >> 8) & 0xFF]
+            ^ i2[(codeword >> 16) & 0xFF] ^ i3[(codeword >> 24) & 0xFF]
+            ^ i4[codeword >> 32]
+        )
+        fixed = codeword ^ self._flip_row[index]
+        e0, e1, e2, e3, e4 = self._ext_rows
+        data = (
+            e0[fixed & 0xFF] | e1[(fixed >> 8) & 0xFF]
+            | e2[(fixed >> 16) & 0xFF] | e3[(fixed >> 24) & 0xFF]
+            | e4[fixed >> 32]
+        )
+        return DecodeResult(
+            data=data,
+            status=self._status_row[index],
+            corrected_bits=self._corrected_row[index],
+        )
+
+    @classmethod
+    def _decode_reference(cls, codeword: int) -> tuple[int, DecodeStatus, int]:
+        """The bit-loop decision tree: ``(corrected codeword, status,
+        corrected bits)``.  The syndrome tables are built from it and
+        the tests check :meth:`decode` against it."""
         hamming_part = codeword & ((1 << _POSITIONS) - 1)
         syndrome = 0
         remaining = hamming_part
@@ -191,35 +246,19 @@ class SecdedCodec(Codec):
         overall = _parity(codeword)
 
         if syndrome == 0 and overall == 0:
-            return DecodeResult(
-                data=self._extract(codeword), status=DecodeStatus.CLEAN
-            )
+            return codeword, DecodeStatus.CLEAN, 0
         if syndrome == 0 and overall == 1:
             # The overall parity bit itself flipped; data is intact.
-            corrected = codeword ^ (1 << (self.code_bits - 1))
-            return DecodeResult(
-                data=self._extract(corrected),
-                status=DecodeStatus.CORRECTED,
-                corrected_bits=1,
-            )
-        if overall == 1:
+            flip = 1 << (cls.code_bits - 1)
+            return codeword ^ flip, DecodeStatus.CORRECTED, 1
+        if overall == 1 and 1 <= syndrome <= _POSITIONS:
             # Odd number of errors with a non-zero syndrome: take it as
-            # a single error at the syndrome position if that position
-            # exists; otherwise it must be multi-bit.
-            if 1 <= syndrome <= _POSITIONS:
-                corrected = codeword ^ (1 << (syndrome - 1))
-                return DecodeResult(
-                    data=self._extract(corrected),
-                    status=DecodeStatus.CORRECTED,
-                    corrected_bits=1,
-                )
-            return DecodeResult(
-                data=self._extract(codeword), status=DecodeStatus.DETECTED
-            )
-        # Non-zero syndrome with even overall parity: double error.
-        return DecodeResult(
-            data=self._extract(codeword), status=DecodeStatus.DETECTED
-        )
+            # a single error at the syndrome position.
+            flip = 1 << (syndrome - 1)
+            return codeword ^ flip, DecodeStatus.CORRECTED, 1
+        # A syndrome pointing past position 38 must be multi-bit; a
+        # non-zero syndrome with even overall parity is a double error.
+        return codeword, DecodeStatus.DETECTED, 0
 
     @staticmethod
     def _extract(codeword: int) -> int:

@@ -10,8 +10,13 @@ of the previous K comparable entries, failing on configurable
 regression thresholds.
 
 Metric direction is encoded in the name: keys ending in ``_s`` are
-wall times (lower is better); everything else (speedups, throughput)
-is higher-is-better.  Entries are only compared against entries with
+wall times and keys ending in ``_pct`` are overheads in percent (both
+lower is better); everything else (speedups, throughput) is
+higher-is-better.  A ``_pct`` value sits near or below zero (a
+profiler overhead inside run-to-run noise), where a relative delta
+means nothing, so those metrics are judged by their rise in
+percentage points instead (:data:`MAX_PCT_RISE`).  Entries are only
+compared against entries with
 the same ``quick`` flag — CI smoke sizes and full-size runs are
 different workloads, not each other's baselines.
 
@@ -34,6 +39,10 @@ from repro.obs.trace import NdjsonFileSink
 PathLike = Union[str, "os.PathLike[str]"]
 
 HISTORY_FILENAME = "BENCH_history.ndjson"
+
+#: A ``_pct`` metric regresses when it rises by more than this many
+#: percentage points over its baseline.
+MAX_PCT_RISE = 10.0
 
 #: ``(section, field)`` scalars lifted from the BENCH_perf.json report.
 _SCALAR_FIELDS = (
@@ -172,7 +181,7 @@ def _median(values: List[float]) -> float:
 
 
 def lower_is_better(metric: str) -> bool:
-    return metric.endswith("_s")
+    return metric.endswith(("_s", "_pct"))
 
 
 def compare(
@@ -187,7 +196,9 @@ def compare(
     ``comparable`` counts the baseline pool (the gate stays soft until
     it is large enough).  Each delta row carries the metric, its
     latest/baseline values, the signed relative delta, the direction,
-    and whether it breached ``max_regression``.
+    and whether it breached ``max_regression``.  ``_pct`` rows carry
+    their rise in percentage points (``delta_pp``) instead of a
+    relative delta, and breach when it exceeds :data:`MAX_PCT_RISE`.
     """
     if not entries:
         return {
@@ -217,23 +228,26 @@ def compare(
         if not history:
             continue
         baseline = _median(history)
-        if baseline == 0:
-            continue
-        delta = (value - baseline) / baseline
         lower = lower_is_better(metric)
-        regressed = delta > max_regression if lower else (
-            delta < -max_regression
-        )
-        deltas.append(
-            {
-                "metric": metric,
-                "latest": value,
-                "baseline": baseline,
-                "delta_pct": delta * 100.0,
-                "direction": "lower-better" if lower else "higher-better",
-                "regressed": regressed,
-            }
-        )
+        row: Dict[str, Any] = {
+            "metric": metric,
+            "latest": value,
+            "baseline": baseline,
+            "direction": "lower-better" if lower else "higher-better",
+        }
+        if metric.endswith("_pct"):
+            row["delta_pp"] = value - baseline
+            regressed = row["delta_pp"] > MAX_PCT_RISE
+        elif baseline == 0:
+            continue
+        else:
+            delta = (value - baseline) / baseline
+            row["delta_pct"] = delta * 100.0
+            regressed = delta > max_regression if lower else (
+                delta < -max_regression
+            )
+        row["regressed"] = regressed
+        deltas.append(row)
         if regressed:
             regressions.append(metric)
     return {
@@ -252,7 +266,8 @@ def format_comparison(
     lines = [
         f"== perf-compare ==  baseline: median of "
         f"{comparison['baseline_entries']} prior entries, "
-        f"threshold {max_regression * 100:.0f}%"
+        f"threshold {max_regression * 100:.0f}% "
+        f"(_pct metrics: +{MAX_PCT_RISE:g}pp)"
     ]
     if not deltas:
         lines.append("(no comparable metrics)")
@@ -260,9 +275,13 @@ def format_comparison(
     width = max(len(d["metric"]) for d in deltas)
     for d in deltas:
         marker = "REGRESSED" if d["regressed"] else "ok"
+        if "delta_pp" in d:
+            change = f"{d['delta_pp']:>+6.1f}pp"
+        else:
+            change = f"{d['delta_pct']:>+7.1f}%"
         lines.append(
             f"{d['metric']:<{width}}  {d['latest']:>12.6g}  "
-            f"vs {d['baseline']:>12.6g}  {d['delta_pct']:>+7.1f}%  "
+            f"vs {d['baseline']:>12.6g}  {change}  "
             f"[{d['direction']}]  {marker}"
         )
     regressions = comparison["regressions"]

@@ -19,9 +19,12 @@ pattern:
   wall-clock reads.  The differential fuzzers run with profiling on to
   prove outcomes, fault statistics and RNG positions stay
   bit-identical.
-* **Sampling-free.**  Every committed instruction is tallied (in plain
-  engine locals, published once per burst), so opcode mixes and
-  residency figures are exact, not estimates.
+* **Sampling-free.**  Every committed instruction is counted, so
+  opcode mixes and residency figures are exact, not estimates.  The
+  scalar interpreter tallies opcodes in a local dict; the fast lane
+  runs its one loop and records only the straight-line ``(start_pc,
+  length)`` segments each burst committed, deriving the opcode mix
+  from them and the static predecode when the run ends.
 
 Because the numbers land in the ordinary metrics registry, profiler
 output inherits everything metrics already do: picklable snapshots,

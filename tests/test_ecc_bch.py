@@ -61,6 +61,25 @@ class TestEncode:
         with pytest.raises(ValueError):
             codec.encode(1 << 32)
 
+    @pytest.mark.parametrize("t", [1, 2, 4])
+    def test_table_encode_matches_polynomial_division(self, t):
+        """``encode`` gathers from the byte tables; the division in
+        ``_encode_raw`` is the specification."""
+        codec = BchCodec(data_bits=32, t=t)
+        rng = random.Random(t)
+        words = [0, 0xFFFFFFFF, 0x80000000, 1] + [
+            rng.getrandbits(32) for _ in range(500)
+        ]
+        for data in words:
+            assert codec.encode(data) == codec._encode_raw(data)
+
+    def test_wide_codes_encode_without_tables(self):
+        # Codewords past 64 bits have no tables; encode divides.
+        codec = BchCodec(data_bits=60, t=2, m=7)
+        assert codec._enc_rows is None
+        data = (1 << 59) | 0x12345
+        assert codec.encode(data) == codec._encode_raw(data)
+
 
 class TestDecode:
     @given(data=st.integers(min_value=0, max_value=2**32 - 1))

@@ -134,3 +134,44 @@ class TestDecode:
                 miscorrections += 1
         # The dominant outcome for triple errors is a wrong "correction".
         assert miscorrections > trials // 2
+
+
+class TestTableDecodeMatchesReference:
+    """``decode`` reads byte-sliced tables; the bit-loop decision tree
+    ``_decode_reference`` is the specification it must reproduce."""
+
+    @staticmethod
+    def _assert_matches(codec, codeword):
+        fixed, status, corrected_bits = codec._decode_reference(codeword)
+        result = codec.decode(codeword)
+        assert result.status is status
+        assert result.corrected_bits == corrected_bits
+        assert result.data == codec._extract(fixed)
+
+    def test_every_syndrome_and_parity(self, codec):
+        # All 128 table indices, on top of random data.
+        rng = random.Random(7)
+        for index in range(128):
+            pattern = codec._codeword_with_index(index)
+            for _ in range(8):
+                self._assert_matches(
+                    codec, codec.encode(rng.getrandbits(32)) ^ pattern
+                )
+
+    def test_all_single_and_double_errors(self, codec):
+        codeword = codec.encode(0x9E3779B9)
+        for count in (1, 2):
+            for positions in itertools.combinations(range(39), count):
+                corrupted = codeword
+                for position in positions:
+                    corrupted ^= 1 << position
+                self._assert_matches(codec, corrupted)
+
+    @given(codeword=st.integers(min_value=0, max_value=2**39 - 1))
+    @settings(max_examples=500, deadline=None)
+    def test_arbitrary_codewords(self, codec, codeword):
+        self._assert_matches(codec, codeword)
+
+    def test_rejects_oversized_codeword(self, codec):
+        with pytest.raises(ValueError):
+            codec.decode(1 << 39)

@@ -162,6 +162,53 @@ class TestProfilerRecording:
         assert snap.counters[names.PROFILE_WRITEBACK_WORDS] == 9
         assert snap.counters[names.PROFILE_WRITEBACK_BATCHES] == 1
 
+    def test_fast_lane_totals_are_pinned(self):
+        """The ``profile.*`` totals of one fixed SECDED FFT run.
+
+        The opcode mix is derived from burst segments and the static
+        predecode; these numbers were recorded with the per-instruction
+        tallying loop that derivation replaced, and must not move.  The
+        run takes slow steps (0.40 V, worst-case law), whose opcodes stay
+        out of the mix.
+        """
+        from repro.core.access import ACCESS_CELL_BASED_40NM
+        from repro.mitigation import SecdedRunner
+        from repro.workloads.fft import build_fft_program
+
+        program = build_fft_program(64)
+        registry = MetricsRegistry()
+        with scoped_metrics(registry), scoped_profiling():
+            outcome = SecdedRunner(ACCESS_CELL_BASED_40NM, seed=3).run(
+                program.workload, 0.40, 25e6
+            )
+        assert outcome.completed
+        snapshot = registry.snapshot()
+        counters = {
+            name: value for name, value in snapshot.counters.items()
+            if name.startswith("profile.")
+        }
+        assert counters == {
+            "profile.fast_path.cycles": 13864,
+            "profile.fast_path.instructions": 12026,
+            "profile.fastlane.bursts": 12,
+            "profile.settlement.reads": 631,
+            "profile.settlement.writes": 440,
+            "profile.settlements": 12,
+            "profile.slow_path.cycles": 6,
+            "profile.slow_path.instructions": 4,
+            "profile.writeback.batches": 8,
+            "profile.writeback.words": 440,
+        }
+        assert dict(snapshot.histograms[names.PROFILE_OPCODE]) == {
+            "ADD": 1408, "ADDI": 1094, "ANDI": 384, "BGE": 64, "BLT": 127,
+            "BNE": 576, "HALT": 1, "LUI": 1, "LW": 631, "MUL": 767,
+            "OR": 768, "SLLI": 1919, "SLTI": 192, "SRAI": 2687, "SRLI": 384,
+            "SUB": 576, "SW": 440, "YIELD": 7,
+        }
+        assert dict(snapshot.histograms[names.PROFILE_BURST_LENGTH]) == {
+            "1": 1, "256-511": 2, "512-1023": 3, "1024-2047": 6,
+        }
+
 
 # ----------------------------------------------------------------------
 # Shard-merge property: K worker shards merge == one process
@@ -601,7 +648,7 @@ class TestPerfHistory:
         assert lower_is_better("secded.encode_batch_s")
         assert lower_is_better("faults.batch_s")
         assert not lower_is_better("secded.encode_speedup")
-        assert not lower_is_better("profile.overhead_pct")
+        assert lower_is_better("profile.overhead_pct")
 
     def _entries(self, *reports):
         return [
@@ -636,6 +683,45 @@ class TestPerfHistory:
         )
         result = compare(entries, max_regression=0.25)
         assert result["regressions"] == []
+
+    @staticmethod
+    def _overhead(pct):
+        report = _report()
+        report["profile"] = {"overhead_pct": pct}
+        return report
+
+    def test_overhead_rise_is_judged_in_points(self):
+        # Baseline median -1.3%: a relative delta would be meaningless
+        # (and of the wrong sign); the rise in points decides.
+        entries = self._entries(
+            self._overhead(-1.3), self._overhead(-1.3),
+            self._overhead(12.0),
+        )
+        result = compare(entries, max_regression=0.25)
+        assert "profile.overhead_pct" in result["regressions"]
+        row = next(
+            d for d in result["deltas"]
+            if d["metric"] == "profile.overhead_pct"
+        )
+        assert row["delta_pp"] == pytest.approx(13.3)
+        assert "delta_pct" not in row
+        assert "+13.3pp" in format_comparison(result, 0.25)
+
+    def test_overhead_within_points_or_falling_is_not_a_regression(self):
+        for latest in (5.0, -4.0):
+            entries = self._entries(
+                self._overhead(-1.3), self._overhead(-1.3),
+                self._overhead(latest),
+            )
+            result = compare(entries, max_regression=0.25)
+            assert "profile.overhead_pct" not in result["regressions"]
+
+    def test_overhead_from_a_zero_baseline_is_compared(self):
+        entries = self._entries(
+            self._overhead(0.0), self._overhead(0.0), self._overhead(11.0),
+        )
+        result = compare(entries, max_regression=0.25)
+        assert "profile.overhead_pct" in result["regressions"]
 
     def test_quick_entries_never_baseline_full_runs(self):
         entries = self._entries(

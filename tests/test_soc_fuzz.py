@@ -8,14 +8,18 @@ the FFT's correctness proofs honest: if the CPU and the golden model
 ever disagree, one of them misreads the spec.
 """
 
+import itertools
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.access import ACCESS_CELL_BASED_40NM_TYPICAL
 from repro.ecc import BchCodec, SecdedCodec
 from repro.soc.assembler import assemble
-from repro.soc.cpu import Cpu, StopReason
+from repro.soc.cpu import Cpu, StopReason, predecode
+from repro.soc.fastlane import compiled_block
 from repro.soc.faults import VoltageFaultModel
 from repro.soc.isa import Opcode
 from repro.soc.memory import FaultyMemory
@@ -163,6 +167,56 @@ def test_cpu_matches_golden_model(program):
 
 
 @given(program=alu_programs())
+@settings(max_examples=300, deadline=None)
+def test_compiled_block_matches_golden_model(program):
+    """A fast-lane block function, generated from the predecoded
+    program, computes what the golden model predicts."""
+    instructions, seed_regs = program
+    words = assemble(_to_source(instructions))[:-1]  # blocks stop at HALT
+    entries = tuple(predecode(word) for word in words)
+    block = compiled_block(0, entries, False)
+    registers = list(seed_regs)
+    done, cycles, _, reads, writes, next_pc = block(
+        registers, [], None, None, None, 0, None, None, len(words)
+    )
+    assert registers == _golden_run(instructions, seed_regs)
+    assert (done, next_pc, reads, writes) == (len(words), len(words), 0, 0)
+    assert cycles == sum(entry[5] for entry in entries)
+
+
+_EDGE_WORDS = (0, 1, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF, 0xDEADBEEF)
+
+
+@pytest.mark.parametrize("op", _R_OPS + _I_OPS)
+def test_compiled_alu_edge_operands(op):
+    """Every ALU opcode of a compiled block, on sign-boundary operands
+    and extreme immediates and shift amounts, against the golden model."""
+    if op in _R_OPS:
+        instructions = [
+            ("r", (op, 1 + i, 8 + i % 6, 14 - i % 6)) for i in range(6)
+        ]
+    else:
+        immediates = (0, 1, 31) if op in ("slli", "srli", "srai") else (
+            -(1 << 13), -1, 0, 1, (1 << 13) - 1
+        )
+        instructions = [
+            ("i", (op, 1 + i, 8 + i % 6, imm))
+            for i, imm in enumerate(immediates)
+        ]
+    for words in itertools.permutations(_EDGE_WORDS, 2):
+        seed_regs = [0] * 8 + [words[i % 2] for i in range(8)]
+        entries = tuple(
+            predecode(word)
+            for word in assemble(_to_source(instructions))[:-1]
+        )
+        registers = list(seed_regs)
+        compiled_block(0, entries, False)(
+            registers, [], None, None, None, 0, None, None, len(entries)
+        )
+        assert registers == _golden_run(instructions, seed_regs), words
+
+
+@given(program=alu_programs())
 @settings(max_examples=100, deadline=None)
 def test_r0_never_written(program):
     instructions, seed_regs = program
@@ -220,17 +274,11 @@ _SP_WORDS = 64
 _BRANCH_OPS = ["beq", "bne", "blt", "bge"]
 
 
-@st.composite
-def soc_programs(draw):
-    """Random programs with memory traffic and control flow.
-
-    Register seeds are biased toward small values so loads and stores
+def _seed_registers(draw):
+    """Register seeds biased toward small values, so loads and stores
     mostly hit the scratchpad, with full-range outliers to exercise
-    wild-access parity.  Branch offsets are mostly forward; runaway
-    loops are fine — both lanes must then agree on the runaway
-    failure, instruction for instruction.
-    """
-    seed_regs = [0] + [
+    wild-access parity."""
+    return [0] + [
         draw(
             st.one_of(
                 st.integers(0, _SP_WORDS - 1),
@@ -239,43 +287,94 @@ def soc_programs(draw):
         )
         for _ in range(15)
     ]
+
+
+def _instruction(draw, kind, a, b):
+    """One random instruction of ``kind`` writing ``r{a}``."""
+    if kind == "r":
+        op = draw(st.sampled_from(_R_OPS))
+        c = draw(st.integers(0, 15))
+        return f"{op} r{a}, r{b}, r{c}"
+    if kind == "i":
+        op = draw(st.sampled_from(_I_OPS))
+        imm = draw(st.integers(-(1 << 13), (1 << 13) - 1))
+        if op in ("slli", "srli", "srai"):
+            imm = draw(st.integers(0, 31))
+        return f"{op} r{a}, r{b}, {imm}"
+    if kind == "lui":
+        return f"lui r{a}, {draw(st.integers(0, (1 << 21) - 1))}"
+    base = draw(st.sampled_from([0, b]))
+    imm = draw(st.integers(0, _SP_WORDS - 1))
+    return f"{kind} r{a}, r{base}, {imm}"
+
+
+@st.composite
+def soc_programs(draw):
+    """Random programs with memory traffic and control flow.
+
+    Branch and ``jal`` offsets are mostly forward; ``jalr`` jumps to
+    an absolute word of the program (or, off a random base register,
+    usually out of it).  Runaway loops are fine — both lanes must then
+    agree on the runaway failure, instruction for instruction.
+    """
+    seed_regs = _seed_registers(draw)
     length = draw(st.integers(min_value=1, max_value=20))
     lines = []
     for _ in range(length):
         kind = draw(
             st.sampled_from(
-                ["r", "i", "lui", "lw", "sw", "branch", "yield"]
+                ["r", "i", "lui", "lw", "sw", "branch", "jal", "jalr",
+                 "yield"]
             )
         )
         a = draw(st.integers(0, 15))
         b = draw(st.integers(0, 15))
-        if kind == "r":
-            op = draw(st.sampled_from(_R_OPS))
-            c = draw(st.integers(0, 15))
-            lines.append(f"{op} r{a}, r{b}, r{c}")
-        elif kind == "i":
-            op = draw(st.sampled_from(_I_OPS))
-            imm = draw(st.integers(-(1 << 13), (1 << 13) - 1))
-            if op in ("slli", "srli", "srai"):
-                imm = draw(st.integers(0, 31))
-            lines.append(f"{op} r{a}, r{b}, {imm}")
-        elif kind == "lui":
-            lines.append(f"lui r{a}, {draw(st.integers(0, (1 << 21) - 1))}")
-        elif kind == "lw":
-            base = draw(st.sampled_from([0, b]))
-            imm = draw(st.integers(0, _SP_WORDS - 1))
-            lines.append(f"lw r{a}, r{base}, {imm}")
-        elif kind == "sw":
-            base = draw(st.sampled_from([0, b]))
-            imm = draw(st.integers(0, _SP_WORDS - 1))
-            lines.append(f"sw r{a}, r{base}, {imm}")
+        if kind in ("r", "i", "lui", "lw", "sw"):
+            lines.append(_instruction(draw, kind, a, b))
         elif kind == "branch":
             op = draw(st.sampled_from(_BRANCH_OPS))
             offset = draw(st.integers(-2, 3))
             lines.append(f"{op} r{a}, r{b}, {offset}")
+        elif kind == "jal":
+            lines.append(f"jal r{a}, {draw(st.integers(-2, 3))}")
+        elif kind == "jalr":
+            base = draw(st.sampled_from([0, b]))
+            target = draw(st.integers(0, length))
+            lines.append(f"jalr r{a}, r{base}, {target}")
         else:
             lines.append("yield")
     lines.append("halt")
+    data = [draw(st.integers(0, _MASK32)) for _ in range(8)]
+    return "\n".join(lines), seed_regs, data
+
+
+@st.composite
+def loop_programs(draw):
+    """Loop-shaped programs: a counted loop around a long body.
+
+    The body is 40-48 random ALU/load/store instructions, optionally
+    split by one forward branch and one ``yield``; a backward ``bne``
+    closes it, so after the first pass the body runs as compiled
+    blocks.  The counter ``r15`` is never written by the body.
+    """
+    seed_regs = _seed_registers(draw)
+    passes = draw(st.integers(min_value=1, max_value=4))
+    length = draw(st.integers(min_value=40, max_value=48))
+    body = []
+    for _ in range(length):
+        kind = draw(st.sampled_from(["r", "i", "i", "lui", "lw", "sw"]))
+        a = draw(st.integers(0, 14))
+        b = draw(st.integers(0, 15))
+        body.append(_instruction(draw, kind, a, b))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, length - 1))
+        op = draw(st.sampled_from(_BRANCH_OPS))
+        a, b = draw(st.integers(0, 15)), draw(st.integers(0, 15))
+        body.insert(at, f"{op} r{a}, r{b}, {draw(st.integers(1, 3))}")
+    if draw(st.booleans()):
+        body.insert(draw(st.integers(0, len(body))), "yield")
+    lines = [f"addi r15, r0, {passes}", "loop:", *body,
+             "addi r15, r15, -1", "bne r15, r0, loop", "halt"]
     data = [draw(st.integers(0, _MASK32)) for _ in range(8)]
     return "\n".join(lines), seed_regs, data
 
@@ -372,9 +471,30 @@ def soc_scenarios(draw):
     return program, vdd, scheme, seed
 
 
+@st.composite
+def loop_scenarios(draw):
+    program = draw(loop_programs())
+    vdd = draw(st.sampled_from([0.55, 0.40, 0.35, 0.32, 0.30]))
+    scheme = draw(st.sampled_from(["raw", "secded", "detect", "dected"]))
+    seed = draw(st.integers(0, 1 << 16))
+    return program, vdd, scheme, seed
+
+
 @given(scenario=soc_scenarios())
 @settings(max_examples=120, deadline=None)
 def test_fast_lane_is_bit_exact(scenario):
+    _assert_lanes_agree(scenario)
+
+
+@given(scenario=loop_scenarios())
+@settings(max_examples=80, deadline=None)
+def test_fast_lane_is_bit_exact_on_loops(scenario):
+    """Long loop bodies run as compiled blocks after their first pass;
+    faults, blocked words and wild addresses stop them mid-block."""
+    _assert_lanes_agree(scenario)
+
+
+def _assert_lanes_agree(scenario):
     (source, seed_regs, data), vdd, scheme, seed = scenario
     reference = _build_soc(scheme, vdd, seed, fast_lane=False)
     fast = _build_soc(scheme, vdd, seed, fast_lane=True)
